@@ -21,18 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (
-    AdmissiblePair,
-    QContext,
-    C_elliptic,
-    _sinh_ratio,
-    closed_diag,
-    log_C_elliptic,
-)
+from .kernels import AdmissiblePair, QContext, C_elliptic, _PairPlan
 from .qspecial import (
     DEFAULT_TOL,
     Tolerance,
-    log_theta,
     qpoch_inf,
     theta,
     theta_logderiv,
@@ -86,57 +78,29 @@ def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
     """Truncated lattice sum, entry by entry.
 
     Uses the q-shift-invariant closed-form values of the gauged kernel
-    with all m-independent pieces cached, so a large truncation order is
-    cheap.
+    from one pair plan, so the m-independent pieces are computed once and
+    a large truncation order is cheap.
     """
     M = truncation_order(pair, ctx, series_tol)
-    q = ctx.q
-    g, d = pair.gamma, pair.delta
-    zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    lq = math.log(q.q)
-    C = C_elliptic(pair, ctx, tol).value
-    s = math.sqrt((g * d).real)
-    w = cmath.log(g / s)
+    plan = _PairPlan.build(pair, ctx, tol)
 
     # same-branch entries: diagonal term plus e^{i eta m} times the
     # theta-power ratio (the gauge is trivial on the plus branch and
     # cancels the (-1)^m on the minus branch)
-    pp = closed_diag(1, pair, ctx, tol).value
-    mm = closed_diag(-1, pair, ctx, tol).value
+    pp = plan.diag(1)
+    mm = plan.diag(-1)
     for m in range(1, M + 1):
-        sr = _sinh_ratio(m * w, 0.5 * m * lq)
-        e_p = cmath.exp(1j * eta * m) + cmath.exp(-1j * eta * m)
-        pp += e_p * C * (-1) ** m * sr
-        mm += e_p * (-1) ** m * (-C) * sr
+        term = (cmath.exp(1j * eta * m) + cmath.exp(-1j * eta * m)) * (-1) ** m * plan.same(m)
+        pp += term
+        mm -= term
 
-    # cross entries: the log-space closed form with cached constants
-    logC = log_C_elliptic(pair, ctx, tol)
-    lg, ld = cmath.log(g), cmath.log(d)
-    half_theta4 = 0.5 * sum(
-        log_theta(z, q, tol) for z in (g * zm, d * zm, g * zp, d * zp)
-    ).real
-    c1 = log_theta(zm * g, q, tol) + log_theta(zp * d, q, tol)
-    c2 = log_theta(zm * d, q, tol) + log_theta(zp * g, q, tol)
-    half_lr = 0.5 * math.log(abs(zp / zm))
-    lgd = math.log((g * d).real)
-
-    def cross(m: int, n: int) -> complex:
-        t1 = m * lg + n * ld + c1
-        t2 = n * lg + m * ld + c2
-        flip = 1.0
-        if t1.real < t2.real:
-            t1, t2, flip = t2, t1, -1.0
-        log_denom = float(np.logaddexp(half_lr + 0.5 * (m - n) * lq,
-                                       -half_lr + 0.5 * (n - m) * lq))
-        L = logC + 1j * math.pi * m - 0.5 * (m + n) * lgd - half_theta4 + t1 - log_denom
-        return flip * cmath.exp(L) * (1.0 - cmath.exp(t2 - t1))
-
+    # cross entries: the log-space closed form
     pm = 0.0 + 0.0j
     mp = 0.0 + 0.0j
     for m in range(-M, M + 1):
         e = cmath.exp(1j * eta * m)
-        pm += e * cross(m, 0)
-        mp += e * (-1) ** m * cross(0, m)
+        pm += e * plan.cross(m, 0)
+        mp += e * (-1) ** m * plan.cross(0, m)
     return Matrix2C(pp, pm, mp, mm)
 
 

@@ -67,7 +67,10 @@ __all__ = [
     "basic_kernel",
 ]
 
-MAX_EXPONENT = 400  # |k| clamp keeping q^k inside double range for q >= 0.02
+# |k| clamp on lattice exponents.  At |k| = 400, q^k is a normal double
+# only for q >= 0.17: below that q^400 goes subnormal (and flushes to 0
+# below q ~ 0.155), and q^-400 overflows.
+MAX_EXPONENT = 400
 
 
 @dataclass(frozen=True)
@@ -187,28 +190,106 @@ def _wrap(value: complex, tol: Tolerance) -> EvalResult:
     return EvalResult(value, abs(value) * 10.0 * tol.rel_tol)
 
 
+@dataclass(frozen=True)
+class _PairPlan:
+    """Everything the theta-kernel closed forms need from one pair.
+
+    Built once per public call from (pair, ctx, tol): the four values
+    log theta(zeta_+- gamma), log theta(zeta_+- delta), the constant C and
+    the other m-independent constants.  Each closed form lives in one
+    method; the lattice-sum Fourier route calls the same methods.
+    """
+
+    pair: AdmissiblePair
+    ctx: QContext
+    tol: Tolerance
+    lt_gm: complex  # log theta(zeta_- gamma)
+    lt_gp: complex  # log theta(zeta_+ gamma)
+    lt_dm: complex  # log theta(zeta_- delta)
+    lt_dp: complex  # log theta(zeta_+ delta)
+    logC: complex
+    C: complex
+    w: complex  # log(gamma / sqrt(gamma delta))
+    lq: float  # log q
+    lg: complex  # log gamma
+    ld: complex  # log delta
+    half_theta4: float  # log of the positive root of the four-theta product
+    half_lr: float
+    lgd: float  # log(gamma delta)
+
+    @classmethod
+    def build(cls, pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> "_PairPlan":
+        if pair.equal:
+            raise DomainError("constant degenerates at gamma = delta; use elliptic_kernel_equal")
+        g, d = pair.gamma, pair.delta
+        q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
+        lt_gm = log_theta(g * zm, q, tol)
+        lt_gp = log_theta(g * zp, q, tol)
+        lt_dm = log_theta(d * zm, q, tol)
+        lt_dp = log_theta(d * zp, q, tol)
+        logC = (
+            lt_gm + lt_gp + lt_dm + lt_dp
+            - math.log(zp)
+            - log_theta(zm / zp, q, tol)
+            - log_theta(g * d * zm * zp, q, tol)
+        )
+        logC += cmath.log(d - g) - cmath.log(g * d)
+        logC -= _log_qpoch(d / g, q, tol) + _log_qpoch(g / d, q, tol) + 2.0 * _log_qpoch(q.q, q, tol)
+        return cls(
+            pair, ctx, tol, lt_gm, lt_gp, lt_dm, lt_dp,
+            logC=logC,
+            C=cmath.exp(logC),
+            # positive root s of gamma*delta > 0
+            w=cmath.log(g / math.sqrt((g * d).real)),
+            lq=math.log(q.q),
+            lg=cmath.log(g),
+            ld=cmath.log(d),
+            half_theta4=0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real,
+            half_lr=0.5 * math.log(abs(zp / zm)),
+            lgd=math.log((g * d).real),
+        )
+
+    def same(self, x: int) -> complex:
+        """C times the theta-power ratio at exponent difference x != 0; the
+        same-branch closed forms are this up to a sign."""
+        return self.C * _sinh_ratio(x * self.w, 0.5 * x * self.lq)
+
+    def cross(self, m: int, n: int) -> complex:
+        """K(zeta_+ q^m, zeta_- q^n), assembled in log space."""
+        t1 = m * self.lg + n * self.ld + self.lt_gm + self.lt_dp
+        t2 = n * self.lg + m * self.ld + self.lt_dm + self.lt_gp
+        flip = 1.0
+        if t1.real < t2.real:
+            t1, t2, flip = t2, t1, -1.0
+        log_denom = float(np.logaddexp(self.half_lr + 0.5 * (m - n) * self.lq,
+                                       -self.half_lr + 0.5 * (n - m) * self.lq))
+        L = (
+            self.logC
+            + 1j * math.pi * m                   # (-1)^m
+            - 0.5 * (m + n) * self.lgd
+            - self.half_theta4
+            + t1
+            - log_denom
+        )
+        return flip * cmath.exp(L) * (1.0 - cmath.exp(t2 - t1))
+
+    def diag(self, sign: int) -> complex:
+        """K(zeta_s q^m, zeta_s q^m) via theta log-derivatives."""
+        g, d = self.pair.gamma, self.pair.delta
+        q, tol = self.ctx.q, self.tol
+        zeta = self.ctx.zeta_plus if sign > 0 else self.ctx.zeta_minus
+        td = d * theta_logderiv(d * zeta, q, tol)
+        tg = g * theta_logderiv(g * zeta, q, tol)
+        return self.C * zeta * (td - tg) if sign > 0 else self.C * zeta * (tg - td)
+
+
 def log_C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
     """log of the theta-kernel normalizing constant (gamma != delta only)."""
-    if pair.equal:
-        raise DomainError("constant degenerates at gamma = delta; use elliptic_kernel_equal")
-    g, d = pair.gamma, pair.delta
-    q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
-    out = (
-        log_theta(g * zm, q, tol)
-        + log_theta(g * zp, q, tol)
-        + log_theta(d * zm, q, tol)
-        + log_theta(d * zp, q, tol)
-        - math.log(zp)
-        - log_theta(zm / zp, q, tol)
-        - log_theta(g * d * zm * zp, q, tol)
-    )
-    out += cmath.log(d - g) - cmath.log(g * d)
-    out -= _log_qpoch(d / g, q, tol) + _log_qpoch(g / d, q, tol) + 2.0 * _log_qpoch(q.q, q, tol)
-    return out
+    return _PairPlan.build(pair, ctx, tol).logC
 
 
 def C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    return _wrap(cmath.exp(log_C_elliptic(pair, ctx, tol)), tol)
+    return _wrap(_PairPlan.build(pair, ctx, tol).C, tol)
 
 
 def elliptic_P(x: float, pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
@@ -252,11 +333,7 @@ def closed_pp(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
     """K(zeta_+ q^m, zeta_+ q^n) in closed form, m != n."""
     if m == n:
         raise DomainError("m = n handled by closed_diag")
-    C = C_elliptic(pair, ctx, tol).value
-    s = math.sqrt((pair.gamma * pair.delta).real)  # positive root; gamma*delta > 0
-    w = cmath.log(pair.gamma / s)
-    x = m - n
-    return _wrap(C * (-1) ** (m + n) * _sinh_ratio(x * w, 0.5 * x * math.log(ctx.q.q)), tol)
+    return _wrap((-1) ** (m + n) * _PairPlan.build(pair, ctx, tol).same(m - n), tol)
 
 
 def closed_mm(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
@@ -264,54 +341,19 @@ def closed_mm(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
     """K(zeta_- q^m, zeta_- q^n) in closed form, m != n."""
     if m == n:
         raise DomainError("m = n handled by closed_diag")
-    C = C_elliptic(pair, ctx, tol).value
-    s = math.sqrt((pair.gamma * pair.delta).real)
-    w = cmath.log(pair.gamma / s)
-    x = m - n
-    return _wrap(-C * _sinh_ratio(x * w, 0.5 * x * math.log(ctx.q.q)), tol)
+    return _wrap(-_PairPlan.build(pair, ctx, tol).same(m - n), tol)
 
 
 def closed_pm(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
               tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """K(zeta_+ q^m, zeta_- q^n) = K(zeta_- q^n, zeta_+ q^m), log-space assembly."""
-    g, d = pair.gamma, pair.delta
-    q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
-    lq = math.log(q.q)
-    logC = log_C_elliptic(pair, ctx, tol)
-    lg, ld = cmath.log(g), cmath.log(d)
-    # positive square root of the four-theta product (which is > 0)
-    half_theta4 = 0.5 * sum(
-        log_theta(z, q, tol) for z in (g * zm, d * zm, g * zp, d * zp)
-    ).real
-    t1 = m * lg + n * ld + log_theta(zm * g, q, tol) + log_theta(zp * d, q, tol)
-    t2 = n * lg + m * ld + log_theta(zm * d, q, tol) + log_theta(zp * g, q, tol)
-    flip = 1.0
-    if t1.real < t2.real:
-        t1, t2, flip = t2, t1, -1.0
-    half_lr = 0.5 * math.log(abs(zp / zm))
-    log_denom = float(np.logaddexp(half_lr + 0.5 * (m - n) * lq, -half_lr + 0.5 * (n - m) * lq))
-    L = (
-        logC
-        + 1j * math.pi * m                       # (-1)^m
-        - 0.5 * (m + n) * math.log((g * d).real)
-        - half_theta4
-        + t1
-        - log_denom
-    )
-    return _wrap(flip * cmath.exp(L) * (1.0 - cmath.exp(t2 - t1)), tol)
+    return _wrap(_PairPlan.build(pair, ctx, tol).cross(m, n), tol)
 
 
 def closed_diag(sign: int, pair: AdmissiblePair, ctx: QContext,
                 tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """K(zeta_s q^m, zeta_s q^m): independent of m, via theta log-derivatives."""
-    g, d = pair.gamma, pair.delta
-    q = ctx.q
-    zeta = ctx.zeta_plus if sign > 0 else ctx.zeta_minus
-    C = C_elliptic(pair, ctx, tol).value
-    td = d * theta_logderiv(d * zeta, q, tol)
-    tg = g * theta_logderiv(g * zeta, q, tol)
-    val = C * zeta * (td - tg) if sign > 0 else C * zeta * (tg - td)
-    return _wrap(val, tol)
+    return _wrap(_PairPlan.build(pair, ctx, tol).diag(sign), tol)
 
 
 def _theta_dd(z: complex, q: QParam, tol: Tolerance) -> complex:
@@ -390,52 +432,42 @@ def elliptic_kernel(x, y, pair: AdmissiblePair, ctx: QContext,
     return _wrap(_elliptic_direct(xv, yv, pair, ctx, tol), tol)
 
 
-def _elliptic_sing_distance(x: float, pair: AdmissiblePair, ctx: QContext) -> float:
+def _sing_distance(x: float, params, ctx: QContext) -> float:
+    """Distance from x to the nearest zero of theta(z gamma) theta(z delta)
+    or to 0; ``params`` is an admissible pair or quadruple."""
     q = ctx.q.q
     dist = abs(x)
-    for par in (pair.gamma, pair.delta):
+    for par in (params.gamma, params.delta):
         n = round(math.log(abs(x * par)) / math.log(q))
         for k in (n - 1, n, n + 1):
             dist = min(dist, abs(x - q ** k / par))
     return dist
 
 
-def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
-                          tol: Tolerance = DEFAULT_TOL, max_nodes: int = 512) -> EvalResult:
-    """Diagonal of the theta kernel by the contour integral around x.
+def _diag_contour(x: float, eps: float, log_ratio, numerator, pref: complex,
+                  tol: Tolerance, max_nodes: int) -> EvalResult:
+    """Trapezoid rule for a kernel diagonal on the circle |z - x| = eps.
 
-    Independent of the closed_diag route; used as a cross-check.  The
-    square root of the weight ratio u(z)/u(x) keeps a continuous branch on
-    the circle: u is analytic and nonzero inside it, so the ratio has zero
-    winding, is 1 at the real starting node, and its log's imaginary part
-    is unwrapped node to node around the circle.
+    The integrand is pref * sqrt(w(z)/w(x)) * numerator(z) / (z - x)^2,
+    where ``log_ratio(z)`` is log(w(z)/w(x)) for the caller's weight w.  The
+    weight is analytic and nonzero in the disk, so the ratio has zero
+    winding and is 1 at the real starting node; the imaginary part of its
+    log is unwrapped node to node around the circle so the square root
+    never jumps branches.  The node count doubles from 64 until two rings
+    agree to 1e-10; past ``max_nodes`` the last ring is returned.
     """
-    xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
-    sign = 1.0 if xv > 0 else -1.0
-    eps = 0.5 * _elliptic_sing_distance(xv, pair, ctx)
-    g, d = pair.gamma, pair.delta
-    q = ctx.q
-    C = C_elliptic(pair, ctx, tol).value
-
-    def u(z: complex) -> complex:
-        return sign * z / (theta(z * g, q, tol).value * theta(z * d, q, tol).value)
-
-    ux = u(xv)
-    thxg = theta(xv * g, q, tol).value
-    thxd = theta(xv * d, q, tol).value
 
     def ring(n: int) -> complex:
         acc = 0.0 + 0.0j
         prev_im = 0.0
         for j in range(n):
             ph = cmath.exp(2j * math.pi * j / n)
-            z = xv + eps * ph
-            lr = cmath.log(u(z) / ux)
+            z = x + eps * ph
+            lr = log_ratio(z)
             im = lr.imag + 2.0 * math.pi * round((prev_im - lr.imag) / (2.0 * math.pi))
             prev_im = im
             rat = cmath.exp(0.5 * complex(lr.real, im))
-            num = theta(z * d, q, tol).value * thxg - theta(z * g, q, tol).value * thxd
-            acc += C * ux * rat * num / (z - xv) ** 2 * ph
+            acc += pref * rat * numerator(z) / (z - x) ** 2 * ph
         return acc * eps / n
 
     prev = None
@@ -447,6 +479,36 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
         prev = val
         n *= 2
     return _wrap(prev, tol)
+
+
+def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
+                          tol: Tolerance = DEFAULT_TOL, max_nodes: int = 512) -> EvalResult:
+    """Diagonal of the theta kernel by the contour integral around x.
+
+    Independent of the closed_diag route; used as a cross-check.  The
+    weight is u(z) = sign * z / (theta(z gamma) theta(z delta)).
+    """
+    xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
+    sign = 1.0 if xv > 0 else -1.0
+    eps = 0.5 * _sing_distance(xv, pair, ctx)
+    g, d = pair.gamma, pair.delta
+    q = ctx.q
+    C = C_elliptic(pair, ctx, tol).value
+
+    def u(z: complex) -> complex:
+        return sign * z / (theta(z * g, q, tol).value * theta(z * d, q, tol).value)
+
+    ux = u(xv)
+    thxg = theta(xv * g, q, tol).value
+    thxd = theta(xv * d, q, tol).value
+
+    def log_ratio(z: complex) -> complex:
+        return cmath.log(u(z) / ux)
+
+    def numerator(z: complex) -> complex:
+        return theta(z * d, q, tol).value * thxg - theta(z * g, q, tol).value * thxd
+
+    return _diag_contour(xv, eps, log_ratio, numerator, C * ux, tol, max_nodes)
 
 
 def gauge_eps(x: LatticePoint) -> int:
@@ -607,26 +669,16 @@ def basic_kernel(x, y, quad: AdmissibleQuadruple, ctx: QContext,
     return _wrap(val, tol)
 
 
-def _basic_sing_distance(x: float, quad: AdmissibleQuadruple, ctx: QContext) -> float:
-    q = ctx.q.q
-    dist = abs(x)
-    for par in (quad.gamma, quad.delta):
-        n = round(math.log(abs(x * par)) / math.log(q))
-        for k in (n - 1, n, n + 1):
-            dist = min(dist, abs(x - q ** k / par))
-    return dist
-
-
 def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
                 tol: Tolerance, max_nodes: int = 512) -> EvalResult:
     """Diagonal value by the contour integral around x.
 
     The integrand is analytic in the punctured disk around x, so the
-    trapezoid rule on |z - x| = eps converges geometrically; the node
-    count doubles until two refinements agree.
+    trapezoid rule on |z - x| = eps converges geometrically.  With w the
+    weight, sqrt(w(z)) sqrt(w(x)) = w(x) * sqrt(w(z)/w(x)).
     """
     sign = 1.0 if x > 0 else -1.0
-    eps = 0.5 * _basic_sing_distance(x, quad, ctx)
+    eps = 0.5 * _sing_distance(x, quad, ctx)
     lw_x = _log_weight(x, quad, ctx, sign, tol)
     h1x, h0x = _h(x, 1, quad, ctx, tol), _h(x, 0, quad, ctx, tol)
     s = max(abs(h1x), abs(h0x))
@@ -634,32 +686,11 @@ def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
     amp = math.exp(lw_x.real + 2.0 * math.log(s))
     c = frak_C(quad, ctx, tol).value
 
-    def ring(n: int) -> complex:
-        # sqrt(w(z)) sqrt(w(x)) = w(x) * sqrt(w(z)/w(x)); the weight is
-        # analytic and nonzero in the disk, so the log of the ratio has a
-        # single-valued branch there.  It is real (and zero winding) at the
-        # real starting node, and the imaginary part is unwrapped node to
-        # node around the circle so the square root never jumps branches.
-        acc = 0.0 + 0.0j
-        prev_im = 0.0
-        for j in range(n):
-            ph = cmath.exp(2j * math.pi * j / n)
-            z = x + eps * ph
-            lr = _log_weight(z, quad, ctx, sign, tol) - lw_x
-            im = lr.imag + 2.0 * math.pi * round((prev_im - lr.imag) / (2.0 * math.pi))
-            prev_im = im
-            rat = cmath.exp(0.5 * complex(lr.real, im))
-            h1z, h0z = _h(z, 1, quad, ctx, tol), _h(z, 0, quad, ctx, tol)
-            val = c * amp * rat * ((h1z / s) * (h0x / s) - (h1x / s) * (h0z / s)) / (z - x) ** 2
-            acc += val * ph
-        return acc * eps / n
+    def log_ratio(z: complex) -> complex:
+        return _log_weight(z, quad, ctx, sign, tol) - lw_x
 
-    prev = None
-    n = 64
-    while n <= max_nodes:
-        val = ring(n)
-        if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
-            return _wrap(val, tol)
-        prev = val
-        n *= 2
-    return _wrap(prev, tol)
+    def numerator(z: complex) -> complex:
+        h1z, h0z = _h(z, 1, quad, ctx, tol), _h(z, 0, quad, ctx, tol)
+        return (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s)
+
+    return _diag_contour(x, eps, log_ratio, numerator, c * amp, tol, max_nodes)

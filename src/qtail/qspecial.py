@@ -82,16 +82,10 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of a series/product evaluation plus a truncation tail bound.
-
-    When log_scaled is True, ``value`` holds the (complex) logarithm of the
-    quantity instead of the quantity itself; this only happens on the
-    explicit log-scale paths (log_theta and friends).
-    """
+    """Value of a series/product evaluation plus a truncation tail bound."""
 
     value: complex
     abs_error_bound: float
-    log_scaled: bool = False
 
     def __complex__(self) -> complex:
         return complex(self.value)

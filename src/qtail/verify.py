@@ -62,10 +62,6 @@ class IdentityReport:
     rel_residual: float
     params: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return math.isfinite(self.rel_residual)
-
 
 def _report(name: str, lhs: complex, rhs: complex, params: dict,
             scale: float = 0.0) -> IdentityReport:

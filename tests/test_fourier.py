@@ -1,6 +1,7 @@
 """Fourier matrix of the gauged theta kernel: three evaluation routes,
 projection structure, and the truncation-order estimate."""
 
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from qtail import (
     fourier_lemma_form,
     fourier_series,
     projection_report,
+    tilde_kernel,
     validate_pair,
 )
 from qtail.fourier import truncation_order
@@ -76,6 +78,26 @@ class TestThreeRoutes:
             C = fourier_closed(eta, pair, ctx)
             scale = max(1.0, float(np.max(np.abs(S.as_array()))))
             assert S.max_abs_diff(C) < 1e-9 * scale
+
+
+class TestLatticeSum:
+    @pytest.mark.parametrize("pair_name", ["pair", "principal_pair"])
+    def test_series_is_sum_of_gauged_entries(self, ctx, request, pair_name):
+        """Entry (e1, e2) is sum_m e^{i eta m} tilde K(zeta_e1 q^m, zeta_e2)
+        over the truncation range, built here from single kernel entries."""
+        pair = request.getfixturevalue(pair_name)
+        eta = 0.7
+        M = truncation_order(pair, ctx, 1e-13)
+        expect = np.zeros((2, 2), dtype=complex)
+        for i, e1 in enumerate((1, -1)):
+            for j, e2 in enumerate((1, -1)):
+                y = ctx.point(e2, 0)
+                expect[i, j] = sum(
+                    cmath.exp(1j * eta * m) * tilde_kernel(ctx.point(e1, m), y, pair, ctx).value
+                    for m in range(-M, M + 1)
+                )
+        got = fourier_series(eta, pair, ctx).as_array()
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 class TestProjection:

@@ -15,6 +15,8 @@ from qtail import (
     QParam,
     Tolerance,
     asym_qpoch,
+    asym_theta_neg,
+    asym_theta_pos,
     jacobi_imaginary_rhs,
     log_theta,
     qpoch_inf,
@@ -79,6 +81,18 @@ class TestQpoch:
         q = math.exp(-r)
         exact = qpoch_inf(q, QParam(q), Tolerance(rel_tol=1e-14)).value
         assert abs(exact / asym_qpoch(r) - 1.0) < r
+
+    # asym_theta_pos overflows at q = 0.995 for the first z (its docstring
+    # leaves magnitudes beyond double range unprotected), so the check
+    # stops at q = 0.99
+    @pytest.mark.parametrize("asym", [asym_theta_pos, asym_theta_neg])
+    @pytest.mark.parametrize("q", [0.9, 0.99])
+    @pytest.mark.parametrize("z", [0.7 * cmath.exp(0.8j), 1.3 * cmath.exp(-2j)])
+    def test_theta_asymptotic_near_one(self, asym, q, z):
+        # the leading-order estimates miss log|theta| by about -r/12
+        r = -math.log(q)
+        diff = cmath.log(asym(z, r)) - log_theta(z, QParam(q))
+        assert abs(diff.real) < r / 6
 
 
 class TestTheta:
