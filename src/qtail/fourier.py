@@ -16,12 +16,13 @@ quantifies how closely a computed matrix satisfies that.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AdmissiblePair, QContext, C_elliptic, _PairPlan
+from .kernels import _CACHE_SIZE, AdmissiblePair, QContext, C_elliptic, _PairPlan
 from .qspecial import (
     DEFAULT_TOL,
     Tolerance,
@@ -75,33 +76,40 @@ def truncation_order(pair: AdmissiblePair, ctx: QContext, tol: float) -> int:
 
 def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
                    tol: Tolerance = DEFAULT_TOL, series_tol: float = 1e-13) -> Matrix2C:
-    """Truncated lattice sum, entry by entry.
+    """Truncated lattice sum.
 
-    Uses the q-shift-invariant closed-form values of the gauged kernel
-    from one pair plan, so the m-independent pieces are computed once and
-    a large truncation order is cheap.
+    The gauged kernel is q-shift invariant, so eta enters only through
+    e^{i eta m}: the pair plan's lattice coefficients (computed once per
+    pair and truncation order) are combined with cos(eta m) and
+    e^{i eta m}.
     """
     M = truncation_order(pair, ctx, series_tol)
-    plan = _PairPlan.build(pair, ctx, tol)
-
-    # same-branch entries: diagonal term plus e^{i eta m} times the
+    dp, dm, a, pm, mp = _PairPlan.build(pair, ctx, tol).lattice(M)
+    m = np.arange(-M, M + 1)
+    e = np.exp(1j * eta * m)
+    # same-branch entries: the diagonal plus 2 cos(eta m) times the signed
     # theta-power ratio (the gauge is trivial on the plus branch and
     # cancels the (-1)^m on the minus branch)
-    pp = plan.diag(1)
-    mm = plan.diag(-1)
-    for m in range(1, M + 1):
-        term = (cmath.exp(1j * eta * m) + cmath.exp(-1j * eta * m)) * (-1) ** m * plan.same(m)
-        pp += term
-        mm -= term
+    same = complex(2.0 * np.cos(eta * m[M + 1:]) @ a)
+    return Matrix2C(dp + same, complex(e @ pm), complex(e @ mp), dm - same)
 
-    # cross entries: the log-space closed form
-    pm = 0.0 + 0.0j
-    mp = 0.0 + 0.0j
-    for m in range(-M, M + 1):
-        e = cmath.exp(1j * eta * m)
-        pm += e * plan.cross(m, 0)
-        mp += e * (-1) ** m * plan.cross(0, m)
-    return Matrix2C(pp, pm, mp, mm)
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _closed_constants(pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> tuple:
+    """The eta-independent factors of ``fourier_closed``: sqrt(gamma delta / q)
+    and the pp, mm and cross prefactors."""
+    q = ctx.q
+    qv = q.q
+    g, d = pair.gamma, pair.delta
+    zp, zm = ctx.zeta_plus, ctx.zeta_minus
+    s = math.sqrt((g * d).real / qv)        # sqrt(gamma delta / q), positive root
+    base = theta_multi([zm / zp, g * d * zm * zp], q, tol).value
+    Theta = theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real
+    sqTheta = math.sqrt(Theta)              # positive root
+    pp = qv * theta_multi([g * zm, d * zm], q, tol).value / (g * d * zp * zp * base)
+    mm = qv * theta_multi([g * zp, d * zp], q, tol).value / (g * d * abs(zm * zp) * base)
+    cross = -qv * sqTheta / (g * d * zp * math.sqrt(abs(zm * zp)) * base)
+    return s, pp, mm, cross
 
 
 def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
@@ -112,28 +120,55 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
     qv = q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    s = math.sqrt((g * d).real / qv)        # sqrt(gamma delta / q), positive root
+    s, pp_pref, mm_pref, cross_pref = _closed_constants(pair, ctx, tol)
     e = cmath.exp(1j * eta)
     ec = cmath.exp(-1j * eta)
     den = theta_multi([-e * qv * s / g, -e * qv * s / d], q, tol).value
-    base = theta_multi([zm / zp, g * d * zm * zp], q, tol).value
-    Theta = theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real
-    sqTheta = math.sqrt(Theta)              # positive root
-
-    pp = (
-        qv * theta_multi([g * zm, d * zm], q, tol).value
-        / (g * d * zp * zp * base)
-        * theta_multi([-e * zp * s, -ec * zp * s], q, tol).value / den
-    )
-    mm = (
-        qv * theta_multi([g * zp, d * zp], q, tol).value
-        / (g * d * abs(zm * zp) * base)
-        * theta_multi([-e * zm * s, -ec * zm * s], q, tol).value / den
-    )
-    cross_pref = -qv * sqTheta / (g * d * zp * math.sqrt(abs(zm * zp)) * base)
+    pp = pp_pref * theta_multi([-e * zp * s, -ec * zp * s], q, tol).value / den
+    mm = mm_pref * theta_multi([-e * zm * s, -ec * zm * s], q, tol).value / den
     pm = cross_pref * theta_multi([-e * zp * s, -ec * zm * s], q, tol).value / den
     mp = cross_pref * theta_multi([-e * zm * s, -ec * zp * s], q, tol).value / den
     return Matrix2C(pp, pm, mp, mm)
+
+
+def _LD(z: complex, q, tol: Tolerance) -> complex:
+    return z * theta_logderiv(z, q, tol)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _lemma_constants(pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> tuple:
+    """The eta-independent factors of ``fourier_lemma_form``: C,
+    sqrt(q gamma delta), the zeta-side log-derivative differences of the
+    pp and mm entries, the zeta-side theta products of the cross entries
+    and their prefactors."""
+    q = ctx.q
+    qv = q.q
+    g, d = pair.gamma, pair.delta
+    zp, zm = ctx.zeta_plus, ctx.zeta_minus
+    C = C_elliptic(pair, ctx, tol).value
+    sq = math.sqrt(qv * (g * d).real)       # sqrt(q gamma delta), positive root
+    pp_side = _LD(d * zp, q, tol) - _LD(g * zp, q, tol)
+    mm_side = _LD(g * zm, q, tol) - _LD(d * zm, q, tol)
+    Theta = theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real
+    sqTheta = math.sqrt(Theta)
+    tprime1 = -(qpoch_inf(qv, q, tol).value ** 2)  # theta'(1)
+    r_pm = math.sqrt(abs(zp / zm))
+    r_mp = 1.0 / r_pm
+    pm_pref = C * r_pm / sqTheta * tprime1 / theta(zp / zm, q, tol).value
+    mp_pref = C * r_mp / sqTheta * tprime1 / theta(zm / zp, q, tol).value
+    th_gpdm = theta_multi([g * zp, d * zm], q, tol).value
+    th_dpgm = theta_multi([d * zp, g * zm], q, tol).value
+    return C, sq, pp_side, mm_side, r_pm, r_mp, pm_pref, mp_pref, th_gpdm, th_dpgm
+
+
+# Every cache that holds per-pair work, in kernels.py and here.
+_PAIR_CACHES = (_PairPlan.build, _PairPlan.lattice, _closed_constants, _lemma_constants)
+
+
+def _clear_pair_caches() -> None:
+    """Empty every per-pair cache, as before the first call on any pair."""
+    for cache in _PAIR_CACHES:
+        cache.cache_clear()
 
 
 def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
@@ -141,54 +176,27 @@ def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
     """Theta log-derivative form of the same matrix (summed term by term
     via the two classical bilateral summation formulas)."""
     q = ctx.q
-    qv = q.q
     g, d = pair.gamma, pair.delta
-    zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    C = C_elliptic(pair, ctx, tol).value
-    sq = math.sqrt(qv * (g * d).real)       # sqrt(q gamma delta), positive root
+    (C, sq, pp_side, mm_side, r_pm, r_mp,
+     pm_pref, mp_pref, th_gpdm, th_dpgm) = _lemma_constants(pair, ctx, tol)
     e = cmath.exp(1j * eta)
-
-    def LD(z: complex) -> complex:
-        return z * theta_logderiv(z, q, tol)
 
     # the eta terms enter as +e^{i eta}(s/gamma) theta'/theta at
     # -e^{i eta} s/gamma, i.e. with sign opposite to z theta'(z)/theta(z)
-    pp = C * (
-        LD(d * zp) - LD(g * zp)
-        - LD(-e * sq / g) + LD(-e * sq / d)
-    )
-    mm = C * (
-        LD(g * zm) - LD(d * zm)
-        - LD(-e * sq / d) + LD(-e * sq / g)
-    )
+    ld_g = _LD(-e * sq / g, q, tol)
+    ld_d = _LD(-e * sq / d, q, tol)
+    pp = C * (pp_side - ld_g + ld_d)
+    mm = C * (mm_side - ld_d + ld_g)
 
-    Theta = theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real
-    sqTheta = math.sqrt(Theta)
-    tprime1 = -(qpoch_inf(qv, q, tol).value ** 2)  # theta'(1)
-    r_pm = math.sqrt(abs(zp / zm))
-
-    pm = (
-        C * r_pm / sqTheta * tprime1 / theta(zp / zm, q, tol).value
-        * (
-            theta_multi([g * zp, d * zm], q, tol).value
-            * theta(e * r_pm * r_pm * sq / g, q, tol).value
-            / theta(-e * sq / g, q, tol).value
-            - theta_multi([d * zp, g * zm], q, tol).value
-            * theta(e * r_pm * r_pm * sq / d, q, tol).value
-            / theta(-e * sq / d, q, tol).value
-        )
+    th_g = theta(-e * sq / g, q, tol).value
+    th_d = theta(-e * sq / d, q, tol).value
+    pm = pm_pref * (
+        th_gpdm * theta(e * r_pm * r_pm * sq / g, q, tol).value / th_g
+        - th_dpgm * theta(e * r_pm * r_pm * sq / d, q, tol).value / th_d
     )
-    r_mp = 1.0 / r_pm
-    mp = (
-        C * r_mp / sqTheta * tprime1 / theta(zm / zp, q, tol).value
-        * (
-            theta_multi([g * zp, d * zm], q, tol).value
-            * theta(e * r_mp * r_mp * sq / d, q, tol).value
-            / theta(-e * sq / d, q, tol).value
-            - theta_multi([d * zp, g * zm], q, tol).value
-            * theta(e * r_mp * r_mp * sq / g, q, tol).value
-            / theta(-e * sq / g, q, tol).value
-        )
+    mp = mp_pref * (
+        th_gpdm * theta(e * r_mp * r_mp * sq / d, q, tol).value / th_d
+        - th_dpgm * theta(e * r_mp * r_mp * sq / g, q, tol).value / th_g
     )
     return Matrix2C(pp, pm, mp, mm)
 

@@ -18,7 +18,9 @@ contour-integral representation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +71,14 @@ __all__ = [
 
 # |k| clamp on lattice exponents.  At |k| = 400, q^k is a normal double
 # only for q >= 0.17: below that q^400 goes subnormal (and flushes to 0
-# below q ~ 0.155), and q^-400 overflows.
+# below q ~ 0.155), and q^-400 overflows; LatticePoint.value raises
+# DomainError there.
 MAX_EXPONENT = 400
+
+# Pairs whose plan (and lattice-sum coefficients per truncation order) are
+# kept; fourier.py bounds its route constants with the same number.  Every
+# caller works through one pair at a time, so a few entries suffice.
+_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -104,10 +112,24 @@ class LatticePoint:
 
     def value(self, ctx: QContext) -> float:
         anchor = ctx.zeta_plus if self.sign > 0 else ctx.zeta_minus
-        return anchor * ctx.q.q ** self.k
+        try:
+            scale = ctx.q.q ** self.k
+        except OverflowError:
+            scale = math.inf
+        if not sys.float_info.min <= scale <= sys.float_info.max:
+            raise DomainError(f"q^k leaves the normal double range at q = {ctx.q.q}, k = {self.k}")
+        return anchor * scale
 
     def shift(self, dm: int) -> "LatticePoint":
         return LatticePoint(self.sign, self.k + dm)
+
+
+def _canonical(z) -> complex:
+    """complex(z) with each signed zero made +0.0.  Pairs that compare and
+    hash equal then also compute equal, which the plan cache relies on
+    (a -0.0 imaginary part moves logarithms across the branch cut)."""
+    z = complex(z)
+    return complex(z.real + 0.0, z.imag + 0.0)
 
 
 @dataclass(frozen=True)
@@ -115,6 +137,10 @@ class AdmissiblePair:
     gamma: complex
     delta: complex
     series: str  # "principal" | "complementary"
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", _canonical(self.gamma))
+        object.__setattr__(self, "delta", _canonical(self.delta))
 
     @property
     def equal(self) -> bool:
@@ -129,6 +155,10 @@ class AdmissibleQuadruple:
     delta: complex
     ab_series: str
     gd_series: str
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "delta"):
+            object.__setattr__(self, name, _canonical(getattr(self, name)))
 
     @property
     def pair(self) -> AdmissiblePair:
@@ -163,7 +193,7 @@ def _classify(gamma: complex, delta: complex, ctx: QContext) -> str:
 
 def validate_pair(gamma: complex, delta: complex, ctx: QContext) -> AdmissiblePair:
     """Tag (gamma, delta) as principal/complementary or raise with a diagnostic."""
-    return AdmissiblePair(complex(gamma), complex(delta), _classify(gamma, delta, ctx))
+    return AdmissiblePair(gamma, delta, _classify(gamma, delta, ctx))
 
 
 def validate_quadruple(alpha, beta, gamma, delta, ctx: QContext) -> AdmissibleQuadruple:
@@ -173,7 +203,7 @@ def validate_quadruple(alpha, beta, gamma, delta, ctx: QContext) -> AdmissibleQu
     prod_gd = (complex(gamma) * complex(delta)).real
     if not prod_ab < ctx.q.q ** 2 * prod_gd:
         raise DomainError("need alpha*beta < q^2 * gamma*delta")
-    return AdmissibleQuadruple(complex(alpha), complex(beta), complex(gamma), complex(delta), ab, gd)
+    return AdmissibleQuadruple(alpha, beta, gamma, delta, ab, gd)
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +220,26 @@ def _wrap(value: complex, tol: Tolerance) -> EvalResult:
     return EvalResult(value, abs(value) * 10.0 * tol.rel_tol)
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) for two floats, in the branch order of np.logaddexp
+    (so the two agree bit for bit) without its per-call overhead."""
+    if x == y:
+        return x + _LOG2
+    return max(x, y) + math.log1p(math.exp(-abs(x - y)))
+
+
 @dataclass(frozen=True)
 class _PairPlan:
     """Everything the theta-kernel closed forms need from one pair.
 
-    Built once per public call from (pair, ctx, tol): the four values
-    log theta(zeta_+- gamma), log theta(zeta_+- delta), the constant C and
-    the other m-independent constants.  Each closed form lives in one
-    method; the lattice-sum Fourier route calls the same methods.
+    Built once per (pair, ctx, tol) and kept in a bounded cache: the four
+    values log theta(zeta_+- gamma), log theta(zeta_+- delta), the constant
+    C and the other m-independent constants.  Each closed form lives in one
+    method; ``lattice`` keeps the arrays of them that the lattice-sum
+    Fourier route needs.
     """
 
     pair: AdmissiblePair
@@ -218,6 +260,7 @@ class _PairPlan:
     lgd: float  # log(gamma delta)
 
     @classmethod
+    @functools.lru_cache(maxsize=_CACHE_SIZE)
     def build(cls, pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> "_PairPlan":
         if pair.equal:
             raise DomainError("constant degenerates at gamma = delta; use elliptic_kernel_equal")
@@ -261,8 +304,8 @@ class _PairPlan:
         flip = 1.0
         if t1.real < t2.real:
             t1, t2, flip = t2, t1, -1.0
-        log_denom = float(np.logaddexp(self.half_lr + 0.5 * (m - n) * self.lq,
-                                       -self.half_lr + 0.5 * (n - m) * self.lq))
+        log_denom = _logaddexp(self.half_lr + 0.5 * (m - n) * self.lq,
+                               -self.half_lr + 0.5 * (n - m) * self.lq)
         L = (
             self.logC
             + 1j * math.pi * m                   # (-1)^m
@@ -281,6 +324,25 @@ class _PairPlan:
         td = d * theta_logderiv(d * zeta, q, tol)
         tg = g * theta_logderiv(g * zeta, q, tol)
         return self.C * zeta * (td - tg) if sign > 0 else self.C * zeta * (tg - td)
+
+    @functools.lru_cache(maxsize=_CACHE_SIZE)
+    def lattice(self, M: int) -> tuple:
+        """The eta-independent coefficients of the lattice sum truncated at
+        |m| <= M, computed once per (plan, M) from the methods above:
+
+        (diag(+1), diag(-1), a, pm, mp) with a[m-1] = (-1)^m same(m) for
+        m = 1..M, pm[m+M] = cross(m, 0) and mp[m+M] = (-1)^m cross(0, m)
+        for m = -M..M.  The arrays are read-only.
+        """
+        ms = range(-M, M + 1)
+        a = np.array([(-1) ** m * self.same(m) for m in range(1, M + 1)], dtype=complex)
+        pm = np.array([self.cross(m, 0) for m in ms], dtype=complex)
+        mp = np.array([(-1) ** m * self.cross(0, m) for m in ms], dtype=complex)
+        for arr in (a, pm, mp):
+            if not np.all(np.isfinite(arr)):
+                raise OverflowError("lattice-sum coefficient leaves double range")
+            arr.setflags(write=False)
+        return self.diag(1), self.diag(-1), a, pm, mp
 
 
 def log_C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:

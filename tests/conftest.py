@@ -1,10 +1,11 @@
 """Shared fixtures: a reference lattice, pair and quadruple used across
-the test modules, plus a seeded random generator."""
+the test modules, a seeded random generator, and cold per-pair caches."""
 
 import numpy as np
 import pytest
 
 from qtail import QContext, QParam, validate_pair, validate_quadruple
+from qtail.fourier import _clear_pair_caches
 
 Q_REF = 0.5
 ZP_REF = 1.3
@@ -39,3 +40,10 @@ def quad(ctx):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every per-pair cache; returns a function that empties them again."""
+    _clear_pair_caches()
+    return _clear_pair_caches

@@ -174,3 +174,14 @@ class TestExitCodes:
                    "--beta", str(0.1538462 * 0.4 ** 3),
                    "--x", "+:40", "--y", "+:41"])
         assert rc == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("x", ["+:-400", "+:400"])
+    def test_lattice_point_outside_double_range(self, capsys, x):
+        # 0.1^-400 overflows and 0.1^400 is not a normal double
+        g, d = 0.31 / 1.3, 0.44 / 1.3
+        rc = main(["eval", "basic", "--q", "0.1", "--zeta-plus", "1.3",
+                   "--zeta-minus", "-0.55", "--gamma", str(g), "--delta", str(d),
+                   "--alpha", str(g * 0.005), "--beta", str(d * 0.005),
+                   "--x", x, "--y", "+:0"])
+        assert rc == EXIT_VALIDATION
+        assert "normal double range" in capsys.readouterr().err

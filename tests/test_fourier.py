@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from qtail import (
+    DEFAULT_TOL,
     Matrix2C,
     QContext,
     QParam,
+    Tolerance,
     fourier_closed,
     fourier_lemma_form,
     fourier_series,
@@ -18,8 +20,11 @@ from qtail import (
     tilde_kernel,
     validate_pair,
 )
-from qtail.fourier import truncation_order
+from qtail.fourier import _PAIR_CACHES, _closed_constants, _lemma_constants, truncation_order
+from qtail.kernels import _CACHE_SIZE, _PairPlan
 from qtail.verify import draw_context, draw_pair
+
+from conftest import GAMMA_REF, DELTA_REF
 
 ETAS = [0.0, 0.7, -1.9, math.pi - 0.01, 2.4]
 
@@ -98,6 +103,47 @@ class TestLatticeSum:
                 )
         got = fourier_series(eta, pair, ctx).as_array()
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+class TestRouteCaches:
+    ROUTES = (fourier_series, fourier_closed, fourier_lemma_form)
+
+    def test_second_call_repeats_first_bitwise(self, ctx, pair, principal_pair, cold_caches):
+        def calls():
+            return np.array([route(eta, p, ctx).as_array()
+                             for p in (pair, principal_pair)
+                             for eta in (0.0, 0.7, -2.4)
+                             for route in self.ROUTES]).tobytes()
+
+        first = calls()
+        assert calls() == first
+
+    def test_context_tolerance_and_series_tol_are_part_of_the_key(self, ctx, pair, cold_caches):
+        ctx2 = QContext(QParam(0.5), 1.3, -0.6)
+        tol2 = Tolerance(rel_tol=1e-10)
+        for c, t in ((ctx, DEFAULT_TOL), (ctx2, DEFAULT_TOL), (ctx, tol2)):
+            for route in self.ROUTES:
+                route(0.7, pair, c, t)
+        fourier_series(0.7, pair, ctx, series_tol=1e-8)
+        for cache in (_PairPlan.build, _closed_constants, _lemma_constants):
+            assert cache.cache_info().currsize == 3
+        # two truncation orders for the first plan, one for each other plan
+        assert truncation_order(pair, ctx, 1e-8) != truncation_order(pair, ctx, 1e-13)
+        assert _PairPlan.lattice.cache_info().currsize == 4
+        assert (_closed_constants(pair, ctx, DEFAULT_TOL)
+                != _closed_constants(pair, ctx2, DEFAULT_TOL))
+
+    def test_size_stays_within_bound(self, ctx, cold_caches):
+        for cache in _PAIR_CACHES:
+            assert cache.cache_info().maxsize == _CACHE_SIZE
+        for i in range(_CACHE_SIZE + 4):
+            pair = validate_pair(GAMMA_REF * (1.0 + 0.01 * i), DELTA_REF, ctx)
+            for route in self.ROUTES:
+                route(0.7, pair, ctx)
+            for cache in _PAIR_CACHES:
+                assert cache.cache_info().currsize <= _CACHE_SIZE
+        for cache in _PAIR_CACHES:
+            assert cache.cache_info().currsize == _CACHE_SIZE
 
 
 class TestProjection:

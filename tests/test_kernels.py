@@ -10,12 +10,17 @@ import pytest
 
 from qtail import (
     DEFAULT_TOL,
+    AdmissiblePair,
+    AdmissibleQuadruple,
     DomainError,
     LatticePoint,
     QContext,
     QParam,
+    Tolerance,
     basic_kernel,
     closed_diag,
+    closed_pm,
+    closed_pp,
     elliptic_diag_contour,
     elliptic_kernel,
     elliptic_kernel_equal,
@@ -28,9 +33,14 @@ from qtail import (
     validate_pair,
     validate_quadruple,
 )
-from qtail.kernels import _elliptic_direct
+from qtail.kernels import C_elliptic, _PairPlan, _elliptic_direct, _logaddexp
 
 from conftest import DELTA_REF, GAMMA_REF
+
+
+def _bits(values) -> bytes:
+    """The exact bit pattern of a list of complex values (signed zeros too)."""
+    return np.array(values, dtype=complex).tobytes()
 
 
 class TestLatticeTypes:
@@ -54,6 +64,13 @@ class TestLatticeTypes:
 
     def test_shift(self):
         assert LatticePoint(1, 2).shift(3) == LatticePoint(1, 5)
+
+    @pytest.mark.parametrize("k", [-400, 400])
+    def test_value_outside_normal_double_range_raises(self, k):
+        # 0.1^-400 overflows; 0.1^400 would be 0 (q^k below ~0.17 goes subnormal)
+        with pytest.raises(DomainError):
+            LatticePoint(1, k).value(QContext(QParam(0.1), 1.0, -1.0))
+        assert math.isfinite(LatticePoint(1, k).value(QContext(QParam(0.5), 1.0, -1.0)))
 
 
 class TestValidation:
@@ -93,6 +110,34 @@ class TestValidation:
     def test_quadruple_pair_property(self, quad):
         p = quad.pair
         assert p.gamma == quad.gamma and p.delta == quad.delta
+
+    def test_signed_zeros_are_normalised(self):
+        z = complex(-0.5, -0.0)
+        pair = AdmissiblePair(z, complex(-0.0, 0.7), "complementary")
+        quad = AdmissibleQuadruple(z, z, z, complex(0.3, -0.0), "complementary", "complementary")
+        for v in (pair.gamma, pair.delta, quad.alpha, quad.beta, quad.gamma, quad.delta):
+            assert isinstance(v, complex)
+            for part in (v.real, v.imag):
+                assert part != 0.0 or math.copysign(1.0, part) == 1.0
+
+    def test_signed_zero_pairs_compute_equal(self, cold_caches):
+        """A pair given with +0.0 and with -0.0 imaginary parts compares and
+        hashes equal, so both must give the same bits whichever the caches
+        saw first."""
+        ctx = QContext(QParam(0.5), 1.3, -0.55)
+        g, d = 0.31 / -0.55, 0.44 / -0.55
+        plus = validate_pair(complex(g, 0.0), complex(d, 0.0), ctx)
+        minus = validate_pair(complex(g, -0.0), complex(d, -0.0), ctx)
+        assert plus == minus and hash(plus) == hash(minus)
+
+        def entries(pair):
+            return _bits([closed_pm(m, n, pair, ctx).value
+                          for m in range(-6, 7) for n in range(-6, 7)])
+
+        first = [entries(plus), entries(minus)]
+        cold_caches()
+        second = [entries(minus), entries(plus)]
+        assert first[0] == first[1] == second[0] == second[1]
 
 
 class TestEllipticClosedForms:
@@ -232,3 +277,62 @@ class TestBasicKernel:
         deep = basic_kernel(ctx.point(1, 40), ctx.point(1, 40), quad, ctx).value
         target = elliptic_kernel(ctx.point(1, 0), ctx.point(1, 0), pair, ctx).value
         assert abs(deep - target) < 1e-5
+
+
+class TestLogAddExp:
+    def test_bitwise_equal_to_numpy(self, rng):
+        grid = [-745.0, -700.5, -60.0, -41.0, -1.0, -1e-300, -0.0, 0.0, 1e-300,
+                0.3, 1.0, 40.0, 41.5, 100.0, 709.0]
+        pairs = [(x, y) for x in grid for y in grid]   # x == y and |x - y| > 40 included
+        pairs += [(float(x), float(y)) for x, y in rng.normal(0.0, 30.0, size=(5000, 2))]
+        for x, y in pairs:
+            got, want = _logaddexp(x, y), float(np.logaddexp(x, y))
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (x, y)
+
+
+class TestPairPlanCache:
+    def test_second_call_repeats_first_bitwise(self, ctx, pair, cold_caches):
+        def calls():
+            return _bits([
+                closed_pp(2, -1, pair, ctx).value,
+                closed_pm(1, 3, pair, ctx).value,
+                closed_pm(-2, 0, pair, ctx).value,
+                closed_diag(1, pair, ctx).value,
+                closed_diag(-1, pair, ctx).value,
+                C_elliptic(pair, ctx).value,
+            ])
+
+        first = calls()
+        assert _PairPlan.build.cache_info().currsize == 1
+        assert calls() == first
+
+    def test_context_and_tolerance_are_part_of_the_key(self, ctx, pair, cold_caches):
+        ctx2 = QContext(QParam(0.5), 1.3, -0.6)
+        tol2 = Tolerance(rel_tol=1e-10)
+        plans = [_PairPlan.build(pair, ctx, DEFAULT_TOL),
+                 _PairPlan.build(pair, ctx2, DEFAULT_TOL),
+                 _PairPlan.build(pair, ctx, tol2)]
+        assert _PairPlan.build.cache_info().currsize == 3
+        assert [p.ctx for p in plans] == [ctx, ctx2, ctx]
+        assert [p.tol for p in plans] == [DEFAULT_TOL, DEFAULT_TOL, tol2]
+        assert plans[0].C != plans[1].C
+        assert _PairPlan.build(pair, ctx, DEFAULT_TOL) is plans[0]
+
+    def test_lattice_coefficients_match_entry_methods(self, ctx, pair, principal_pair):
+        """The arrays hold the scalar closed forms at the documented indices."""
+        for p in (pair, principal_pair):
+            plan = _PairPlan.build(p, ctx, DEFAULT_TOL)
+            M = 25
+            dp, dm, a, pm, mp = plan.lattice(M)
+            assert (dp, dm) == (plan.diag(1), plan.diag(-1))
+            want_a = [(-1) ** m * plan.same(m) for m in range(1, M + 1)]
+            want_pm = [plan.cross(m, 0) for m in range(-M, M + 1)]
+            want_mp = [(-1) ** m * plan.cross(0, m) for m in range(-M, M + 1)]
+            for got, want in ((a, want_a), (pm, want_pm), (mp, want_mp)):
+                assert np.array_equal(got, np.array(want))
+
+    def test_lattice_coefficients_are_read_only(self, ctx, pair):
+        _, _, a, pm, mp = _PairPlan.build(pair, ctx, DEFAULT_TOL).lattice(12)
+        for arr in (a, pm, mp):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
