@@ -21,7 +21,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from collections import Counter
 
@@ -30,7 +29,7 @@ import numpy as np
 from . import __version__
 from .backend import backend_name
 from .dpp import SampleConfig, Window, correlation, sample_window
-from .fourier import fourier_closed, fourier_lemma_form, fourier_series, projection_report
+from .fourier import fourier_closed
 from .kernels import (
     LatticePoint,
     QContext,
@@ -49,29 +48,8 @@ from .limits import (
     trig_kernel,
     trig_limit_scan,
 )
-from .qhyper import Phi21Params, heine_rhs, phi21, qdiff_residual, watson_rhs
-from .qspecial import (
-    DEFAULT_TOL,
-    DomainError,
-    QParam,
-    Tolerance,
-    qpoch_inf,
-    theta,
-    theta3,
-    theta_deriv,
-    jacobi_imaginary_rhs,
-)
-from .verify import (
-    diagonal_identity_residual,
-    draw_context,
-    draw_pair,
-    draw_quadruple,
-    fourier_equality_residual,
-    logderiv_sum_residual,
-    ramanujan_sum_residual,
-    trace_identity_residual,
-    weierstrass_residual,
-)
+from .qspecial import DEFAULT_TOL, DomainError, QParam, Tolerance
+from .verify import SUITES, apply_thresholds
 
 SCHEMA_VERSION = 1
 
@@ -107,6 +85,17 @@ def parse_point(s: str) -> LatticePoint:
         return LatticePoint(sign, int(k_s))
     except (ValueError, KeyError) as exc:
         raise DomainError(f"bad lattice point {s!r}; expected '+:k' or '-:k'") from exc
+
+
+def _tolerance(args) -> Tolerance:
+    """``--tol`` if given (values outside (0, 1) raise), else the default."""
+    return DEFAULT_TOL if args.tol is None else Tolerance(rel_tol=args.tol)
+
+
+def _require(args, flags) -> None:
+    missing = [f"--{f.replace('_', '-')}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise DomainError(f"missing {', '.join(missing)}")
 
 
 def _context(args) -> QContext:
@@ -153,9 +142,20 @@ def _output(args, payload: dict, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the flags each kind needs; argparse cannot make a flag required per kind
+_EVAL_NEEDS = {
+    "basic": ("q", "alpha", "beta", "gamma", "delta", "x", "y"),
+    "elliptic": ("q", "gamma", "delta", "x", "y"),
+    "fourier": ("q", "gamma", "delta"),
+    "trig": ("c", "d"),
+    "sine": ("phi",),
+}
+
+
 def cmd_eval(args) -> int:
-    tol = Tolerance(rel_tol=args.tol) if args.tol else DEFAULT_TOL
+    tol = _tolerance(args)
     kind = args.kind
+    _require(args, _EVAL_NEEDS[kind])
     if kind in ("basic", "elliptic", "fourier"):
         ctx = _context(args)
     if kind == "basic":
@@ -198,180 +198,13 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_theta(rng, draws, tol):
-    worst = 0.0
-    worst_fd = 0.0
-    for _ in range(draws):
-        q = QParam(float(rng.uniform(0.3, 0.9)))
-        z = complex(rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        th = theta(z, q, tol).value
-        # quasi-periodicity th(qz) = -th(z)/z
-        r1 = abs(theta(q.q * z, q, tol).value + th / z) / max(abs(th / z), 1e-30)
-        # inversion th(q/z) = th(z)
-        r2 = abs(theta(q.q / z, q, tol).value - th) / max(abs(th), 1e-30)
-        # triple product: theta3(w; q) = (q; q)_inf theta_q(-sqrt(q) w);
-        # normalized by the all-positive term scale, since off the
-        # positive axis the sum itself can be exponentially smaller than
-        # its terms and the difference is then pure cancellation noise
-        lhs = theta3(z, q, tol).value
-        rhs = qpoch_inf(q.q, q, tol).value * theta(-math.sqrt(q.q) * z, q, tol).value
-        scale3 = abs(theta3(abs(z), q, tol).value)
-        r3 = abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale3, 1e-30)
-        # imaginary transformation of theta3, checked at moderate q where
-        # the direct series is well conditioned (the transformed side is
-        # the stable route as q -> 1, so there is nothing to compare
-        # against there)
-        q5 = QParam(float(rng.uniform(0.3, 0.55)))
-        zi = cmath_safe_unit(rng)
-        lhs = theta3(zi, q5, tol).value
-        rhs = jacobi_imaginary_rhs(zi, q5, tol).value
-        r5 = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
-        worst = max(worst, r1, r2, r3, r5)
-        # derivative at a lattice point against a centered difference
-        n = int(rng.integers(-2, 3))
-        zn = q.q ** n
-        h = 1e-6 * zn
-        num = (theta(zn + h, q, tol).value - theta(zn - h, q, tol).value) / (2 * h)
-        dv = theta_deriv(zn, q, tol).value
-        worst_fd = max(worst_fd, abs(num - dv) / max(abs(dv), 1e-30))
-    return [("theta_identities", worst), ("theta_derivative_fd", worst_fd)]
-
-
-def cmath_safe_unit(rng) -> complex:
-    # stay away from the negative real axis, where theta3 has its zeros
-    # and both sides of the transformation become tiny differences
-    phi = float(rng.uniform(-2.2, 2.2))
-    rho = float(rng.uniform(0.5, 1.5))
-    return rho * complex(math.cos(phi), math.sin(phi))
-
-
-def _suite_hyper(rng, draws, tol):
-    worst_q = worst_h = worst_w = 0.0
-    for _ in range(draws):
-        q = QParam(float(rng.uniform(0.3, 0.8)))
-
-        def rc(lo=0.2, hi=1.5):
-            return complex(rng.uniform(lo, hi) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-
-        try:
-            p = Phi21Params(rc(), rc(), rc(0.3, 1.2), q)
-        except DomainError:
-            continue
-        z = complex(rng.uniform(1.2, 3.0) * np.exp(1j * rng.uniform(0.05, 2 * math.pi - 0.05)))
-        try:
-            res, scale = qdiff_residual(p, z, tol)
-            worst_q = max(worst_q, res / max(scale, 1e-30))
-        except ArithmeticError:
-            pass
-        zs = complex(rng.uniform(0.1, 0.6) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        f = phi21(p, zs, tol).value
-        h = heine_rhs(p, zs, tol).value
-        worst_h = max(worst_h, abs(f - h) / max(abs(f), abs(h), 1e-30))
-        try:
-            w = watson_rhs(p, z, tol).value
-            fz = phi21(p, z, tol).value
-            worst_w = max(worst_w, abs(fz - w) / max(abs(fz), abs(w), 1e-30))
-        except ArithmeticError:
-            pass
-    return [("qdiff_equation", worst_q),
-            ("heine_transform", worst_h),
-            ("watson_transform", worst_w)]
-
-
-def _suite_weierstrass(rng, draws, tol):
-    worst = 0.0
-    for _ in range(draws):
-        q = QParam(float(rng.uniform(0.3, 0.9)))
-
-        def rc():
-            return complex(rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-
-        worst = max(worst, weierstrass_residual(rc(), rc(), rc(), rc(), q, tol).rel_residual)
-    return [("weierstrass_three_term", worst)]
-
-
-def _suite_sums(rng, draws, tol):
-    wr = wl = wd = 0.0
-    for _ in range(draws):
-        p = float(rng.uniform(0.3, 0.8))
-        a = complex(rng.uniform(p * 1.1, 0.9 / p) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        z = complex(rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        wr = max(wr, ramanujan_sum_residual(a, z, p, tol).rel_residual)
-        z2 = complex(rng.uniform(1.05 * p, 0.95 / p) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
-        wl = max(wl, logderiv_sum_residual(z2, p, tol).rel_residual)
-        ctx = draw_context(rng, q_range=(0.3, 0.8))
-        c, d = sorted(rng.uniform(0.3, 1.2, size=2))
-        if d - c > 0.03:
-            wd = max(wd, diagonal_identity_residual(float(c), float(d), ctx, tol).rel_residual)
-    return [("bilateral_secant_sum", wr),
-            ("bilateral_logderiv_sum", wl),
-            ("diagonal_logderiv_product", wd)]
-
-
-def _suite_fourier(rng, draws, tol):
-    we = wt = 0.0
-    for _ in range(draws):
-        ctx = draw_context(rng, q_range=(0.3, 0.85))
-        pair = draw_pair(rng, ctx)
-        eta = float(rng.uniform(-math.pi, math.pi))
-        we = max(we, fourier_equality_residual(eta, pair, ctx, tol).rel_residual)
-        wt = max(wt, trace_identity_residual(eta, pair, ctx, tol).rel_residual)
-    return [("fourier_three_route_equality", we),
-            ("fourier_trace_one", wt)]
-
-
-def _suite_projection(rng, draws, tol):
-    worst = {"hermitian_residual": 0.0, "det_residual": 0.0,
-             "trace_residual": 0.0, "idempotent_residual": 0.0}
-    for _ in range(draws):
-        ctx = draw_context(rng, q_range=(0.3, 0.85))
-        pair = draw_pair(rng, ctx)
-        eta = float(rng.uniform(-math.pi, math.pi))
-        rep = projection_report(eta, pair, ctx, tol)
-        for k in worst:
-            worst[k] = max(worst[k], rep[k])
-    return [(k, v) for k, v in worst.items()]
-
-
-SUITES = {
-    "theta": _suite_theta,
-    "hyper": _suite_hyper,
-    "weierstrass": _suite_weierstrass,
-    "sums": _suite_sums,
-    "fourier": _suite_fourier,
-    "projection": _suite_projection,
-}
-
-SUITE_THRESH = {
-    "theta_identities": 1e-10,
-    "theta_derivative_fd": 1e-8,
-    "qdiff_equation": 1e-9,
-    "heine_transform": 1e-8,
-    "watson_transform": 1e-8,
-    "weierstrass_three_term": 1e-10,
-    "bilateral_secant_sum": 1e-8,
-    "bilateral_logderiv_sum": 1e-8,
-    "diagonal_logderiv_product": 1e-8,
-    "fourier_three_route_equality": 1e-8,
-    "fourier_trace_one": 1e-8,
-    "hermitian_residual": 1e-10,
-    "det_residual": 1e-10,
-    "trace_residual": 1e-10,
-    "idempotent_residual": 1e-9,
-}
-
-
 def cmd_verify(args) -> int:
-    tol = Tolerance(rel_tol=args.tol) if args.tol else DEFAULT_TOL
+    tol = _tolerance(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     rng = np.random.default_rng(args.seed)
     rows = []
-    ok = True
     for name in names:
-        for check, worst in SUITES[name](rng, args.draws, tol):
-            thresh = SUITE_THRESH[check]
-            passed = worst < thresh
-            ok = ok and passed
+        for check, worst, thresh, passed in apply_thresholds(SUITES[name](rng, args.draws, tol)):
             rows.append({"suite": name, "check": check, "max_residual": worst,
                          "threshold": thresh, "passed": passed})
             print(f"{'PASS' if passed else 'FAIL'} {name}/{check}: "
@@ -380,7 +213,7 @@ def cmd_verify(args) -> int:
                "draws": args.draws, "results": rows}
     if args.out:
         _output(args, payload, rows)
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return EXIT_OK if all(r["passed"] for r in rows) else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +222,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    tol = Tolerance(rel_tol=args.tol) if args.tol else DEFAULT_TOL
+    tol = _tolerance(args)
     if args.which == "tail":
+        _require(args, ("alpha", "beta", "gamma", "delta"))
         ctx = _context(args)
         quad = validate_quadruple(args.alpha, args.beta, args.gamma, args.delta, ctx)
         x, y = parse_point(args.x), parse_point(args.y)
@@ -419,7 +253,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    tol = Tolerance(rel_tol=args.tol) if args.tol else DEFAULT_TOL
+    tol = _tolerance(args)
     ctx = _context(args)
     pair = validate_pair(args.gamma, args.delta, ctx)
     points = tuple(parse_point(s) for s in args.points.split(","))

@@ -354,30 +354,35 @@ def C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL
     return _wrap(_PairPlan.build(pair, ctx, tol).C, tol)
 
 
+def _elliptic_PQ(x: float, pair: AdmissiblePair, ctx: QContext,
+                 tol: Tolerance) -> tuple[complex, complex]:
+    """(P(x), Q(x)) from one theta(x gamma), theta(x delta) pair, real x."""
+    x = float(x)
+    tg = theta(x * pair.gamma, ctx.q, tol).value
+    td = theta(x * pair.delta, ctx.q, tol).value
+    # the product as theta_multi forms it, signed zeros included: when it
+    # is negative real they choose the branch of the square root
+    den = cmath.sqrt(complex(1.0) * tg * td)
+    r = math.sqrt(abs(x))
+    return r * td / den, r * tg / den
+
+
 def elliptic_P(x: float, pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
     """sqrt(|x|) theta(x delta) / sqrt(theta(x gamma) theta(x delta)), real x."""
-    x = float(x)
-    num = theta(x * pair.delta, ctx.q, tol).value
-    den = cmath.sqrt(theta_multi([x * pair.gamma, x * pair.delta], ctx.q, tol).value)
-    return math.sqrt(abs(x)) * num / den
+    return _elliptic_PQ(x, pair, ctx, tol)[0]
 
 
 def elliptic_Q(x: float, pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
-    x = float(x)
-    num = theta(x * pair.gamma, ctx.q, tol).value
-    den = cmath.sqrt(theta_multi([x * pair.gamma, x * pair.delta], ctx.q, tol).value)
-    return math.sqrt(abs(x)) * num / den
+    return _elliptic_PQ(x, pair, ctx, tol)[1]
 
 
 def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext,
                      tol: Tolerance) -> complex:
     """Quotient form C (P(x)Q(y) - Q(x)P(y))/(x - y); x != y, moderate q."""
     C = C_elliptic(pair, ctx, tol).value
-    num = (
-        elliptic_P(xv, pair, ctx, tol) * elliptic_Q(yv, pair, ctx, tol)
-        - elliptic_Q(xv, pair, ctx, tol) * elliptic_P(yv, pair, ctx, tol)
-    )
-    return C * num / (xv - yv)
+    px, qx = _elliptic_PQ(xv, pair, ctx, tol)
+    py, qy = _elliptic_PQ(yv, pair, ctx, tol)
+    return C * (px * qy - qx * py) / (xv - yv)
 
 
 def _sinh_ratio(A: complex, B: float) -> complex:
@@ -506,17 +511,18 @@ def _sing_distance(x: float, params, ctx: QContext) -> float:
     return dist
 
 
-def _diag_contour(x: float, eps: float, log_ratio, numerator, pref: complex,
+def _diag_contour(x: float, eps: float, integrand, pref: complex,
                   tol: Tolerance, max_nodes: int) -> EvalResult:
     """Trapezoid rule for a kernel diagonal on the circle |z - x| = eps.
 
-    The integrand is pref * sqrt(w(z)/w(x)) * numerator(z) / (z - x)^2,
-    where ``log_ratio(z)`` is log(w(z)/w(x)) for the caller's weight w.  The
-    weight is analytic and nonzero in the disk, so the ratio has zero
-    winding and is 1 at the real starting node; the imaginary part of its
-    log is unwrapped node to node around the circle so the square root
-    never jumps branches.  The node count doubles from 64 until two rings
-    agree to 1e-10; past ``max_nodes`` the last ring is returned.
+    ``integrand(z)`` returns (log(w(z)/w(x)), numerator(z)) for the
+    caller's weight w, and the integrand is pref * sqrt(w(z)/w(x)) *
+    numerator(z) / (z - x)^2.  The weight is analytic and nonzero in the
+    disk, so the ratio has zero winding and is 1 at the real starting node;
+    the imaginary part of its log is unwrapped node to node around the
+    circle so the square root never jumps branches.  The node count doubles
+    from 64 until two rings agree to 1e-10; past ``max_nodes`` the last
+    ring is returned.
     """
 
     def ring(n: int) -> complex:
@@ -525,11 +531,11 @@ def _diag_contour(x: float, eps: float, log_ratio, numerator, pref: complex,
         for j in range(n):
             ph = cmath.exp(2j * math.pi * j / n)
             z = x + eps * ph
-            lr = log_ratio(z)
+            lr, num = integrand(z)
             im = lr.imag + 2.0 * math.pi * round((prev_im - lr.imag) / (2.0 * math.pi))
             prev_im = im
             rat = cmath.exp(0.5 * complex(lr.real, im))
-            acc += pref * rat * numerator(z) / (z - x) ** 2 * ph
+            acc += pref * rat * num / (z - x) ** 2 * ph
         return acc * eps / n
 
     prev = None
@@ -556,21 +562,16 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
     g, d = pair.gamma, pair.delta
     q = ctx.q
     C = C_elliptic(pair, ctx, tol).value
-
-    def u(z: complex) -> complex:
-        return sign * z / (theta(z * g, q, tol).value * theta(z * d, q, tol).value)
-
-    ux = u(xv)
     thxg = theta(xv * g, q, tol).value
     thxd = theta(xv * d, q, tol).value
+    ux = sign * xv / (thxg * thxd)
 
-    def log_ratio(z: complex) -> complex:
-        return cmath.log(u(z) / ux)
+    def integrand(z: complex) -> tuple[complex, complex]:
+        thg = theta(z * g, q, tol).value
+        thd = theta(z * d, q, tol).value
+        return cmath.log(sign * z / (thg * thd) / ux), thd * thxg - thg * thxd
 
-    def numerator(z: complex) -> complex:
-        return theta(z * d, q, tol).value * thxg - theta(z * g, q, tol).value * thxd
-
-    return _diag_contour(xv, eps, log_ratio, numerator, C * ux, tol, max_nodes)
+    return _diag_contour(xv, eps, integrand, C * ux, tol, max_nodes)
 
 
 def gauge_eps(x: LatticePoint) -> int:
@@ -748,11 +749,9 @@ def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
     amp = math.exp(lw_x.real + 2.0 * math.log(s))
     c = frak_C(quad, ctx, tol).value
 
-    def log_ratio(z: complex) -> complex:
-        return _log_weight(z, quad, ctx, sign, tol) - lw_x
-
-    def numerator(z: complex) -> complex:
+    def integrand(z: complex) -> tuple[complex, complex]:
         h1z, h0z = _h(z, 1, quad, ctx, tol), _h(z, 0, quad, ctx, tol)
-        return (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s)
+        return (_log_weight(z, quad, ctx, sign, tol) - lw_x,
+                (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s))
 
-    return _diag_contour(x, eps, log_ratio, numerator, c * amp, tol, max_nodes)
+    return _diag_contour(x, eps, integrand, c * amp, tol, max_nodes)

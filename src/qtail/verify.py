@@ -6,9 +6,11 @@ residual
 
     |lhs - rhs| / max(|lhs|, |rhs|, 1e-30).
 
-The module also hosts the seeded random parameter draws used by the test
-suite and the command-line ``verify`` command, so that every randomized
-check is reproducible from its seed.
+The module also hosts the seeded random parameter draws and the one
+registry of randomized identity suites (``SUITES``) and their thresholds
+(``THRESHOLDS``) that both the command-line ``verify`` command and the
+acceptance gate run, so that every randomized check is reproducible from
+its seed and is written once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import fourier_closed, fourier_lemma_form, fourier_series
+from .fourier import fourier_closed, fourier_lemma_form, fourier_series, projection_report
 from .kernels import (
     AdmissiblePair,
     AdmissibleQuadruple,
@@ -27,13 +29,18 @@ from .kernels import (
     validate_pair,
     validate_quadruple,
 )
+from .qhyper import (DegeneracyError, Phi21Params, PoleError, heine_rhs, phi21,
+                     qdiff_residual, watson_rhs)
 from .qspecial import (
     DEFAULT_TOL,
     DomainError,
     QParam,
     Tolerance,
+    jacobi_imaginary_rhs,
     qpoch_inf,
     theta,
+    theta3,
+    theta_deriv,
     theta_logderiv,
     theta_multi,
 )
@@ -49,6 +56,9 @@ __all__ = [
     "draw_context",
     "draw_pair",
     "draw_quadruple",
+    "SUITES",
+    "THRESHOLDS",
+    "apply_thresholds",
 ]
 
 RESIDUAL_FLOOR = 1e-30
@@ -244,3 +254,192 @@ def draw_quadruple(rng: np.random.Generator, ctx: QContext) -> AdmissibleQuadrup
     a = g * q ** shift
     b = d * q ** shift
     return validate_quadruple(a, b, g, d, ctx)
+
+
+# ---------------------------------------------------------------------------
+# the registry: each suite maps (rng, draws, tol) to (check, worst residual)
+# rows.  The acceptance gate runs theta, hyper, weierstrass, sums and
+# projection on fixed seeds, so their draw order is part of its record.
+# ---------------------------------------------------------------------------
+
+
+def _rc(rng: np.random.Generator, lo: float, hi: float) -> complex:
+    """Modulus uniform in [lo, hi), argument uniform in [0, 2 pi)."""
+    return float(rng.uniform(lo, hi)) * cmath.exp(1j * float(rng.uniform(0, 2 * math.pi)))
+
+
+def _suite_theta(rng, draws, tol):
+    worst = 0.0
+    for _ in range(draws):
+        q = QParam(float(rng.uniform(0.3, 0.9)))
+        z = _rc(rng, 0.3, 2.0)
+        th = theta(z, q, tol).value
+        # quasi-periodicity th(qz) = -th(z)/z and inversion th(q/z) = th(z)
+        worst = max(worst, abs(theta(q.q * z, q, tol).value + th / z)
+                    / max(abs(th / z), RESIDUAL_FLOOR))
+        worst = max(worst, abs(theta(q.q / z, q, tol).value - th) / max(abs(th), RESIDUAL_FLOOR))
+        # triple product theta3(w; q) = (q; q)_inf theta_q(-sqrt(q) w), scaled
+        # by the all-positive terms: the sum itself can be far smaller
+        lhs = theta3(z, q, tol).value
+        rhs = qpoch_inf(q.q, q, tol).value * theta(-math.sqrt(q.q) * z, q, tol).value
+        scale = abs(theta3(abs(z), q, tol).value)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale, RESIDUAL_FLOOR))
+        # imaginary transformation at moderate q, where the series is well
+        # conditioned, and away from the zeros of theta3 on the negative axis
+        qm = QParam(float(rng.uniform(0.3, 0.55)))
+        zi = float(rng.uniform(0.5, 1.5)) * cmath.exp(1j * float(rng.uniform(-2.2, 2.2)))
+        li = theta3(zi, qm, tol).value
+        ri = jacobi_imaginary_rhs(zi, qm, tol).value
+        worst = max(worst, abs(li - ri) / max(abs(li), abs(ri), RESIDUAL_FLOOR))
+    return [("theta_identities", worst)]
+
+
+def _suite_theta_derivative(rng, draws, tol):
+    """theta' at a point of q^Z against a centered difference."""
+    worst = 0.0
+    for _ in range(draws):
+        q = QParam(float(rng.uniform(0.3, 0.9)))
+        zn = q.q ** int(rng.integers(-2, 3))
+        h = 1e-6 * zn
+        num = (theta(zn + h, q, tol).value - theta(zn - h, q, tol).value) / (2 * h)
+        dv = theta_deriv(zn, q, tol).value
+        worst = max(worst, abs(num - dv) / max(abs(dv), RESIDUAL_FLOOR))
+    return [("theta_derivative_fd", worst)]
+
+
+def _suite_hyper(rng, draws, tol):
+    """The 2phi1 q-difference equation past |z| = 1 and the Heine and
+    Watson transformations; ``draws`` counts successful draws of each."""
+    worst_q = worst_h = worst_w = 0.0
+    n_q = n_hw = 0
+    while n_q < draws or n_hw < draws:
+        q = QParam(float(rng.uniform(0.3, 0.8)))
+        try:
+            p = Phi21Params(_rc(rng, 0.2, 1.5), _rc(rng, 0.2, 1.5), _rc(rng, 0.3, 1.2), q)
+        except DomainError:
+            continue
+        if n_q < draws:
+            z = float(rng.uniform(1.2, 3.0)) * cmath.exp(
+                1j * float(rng.uniform(0.05, 2 * math.pi - 0.05)))
+            try:
+                res, scale = qdiff_residual(p, z, tol)
+                worst_q = max(worst_q, res / max(scale, RESIDUAL_FLOOR))
+                n_q += 1
+            except ArithmeticError:
+                pass
+        if n_hw < draws:
+            zs = _rc(rng, 0.1, 0.6)
+            f = phi21(p, zs, tol).value
+            h = heine_rhs(p, zs, tol).value
+            worst_h = max(worst_h, abs(f - h) / max(abs(f), abs(h), RESIDUAL_FLOOR))
+            zw = float(rng.uniform(1.2, 3.0)) * cmath.exp(
+                1j * float(rng.uniform(0.05, 2 * math.pi - 0.05)))
+            try:
+                w = watson_rhs(p, zw, tol).value
+                fw = phi21(p, zw, tol).value
+                worst_w = max(worst_w, abs(fw - w) / max(abs(fw), abs(w), RESIDUAL_FLOOR))
+            except (PoleError, DegeneracyError):
+                pass
+            n_hw += 1
+    return [("qdiff_equation", worst_q),
+            ("heine_transform", worst_h),
+            ("watson_transform", worst_w)]
+
+
+def _suite_weierstrass(rng, draws, tol):
+    worst = 0.0
+    for i in range(draws):
+        q = QParam(float(rng.uniform(0.3, 0.9)))
+        X, Y, Z, W = (_rc(rng, 0.3, 2.0) for _ in range(4))
+        if i % 10 == 0:
+            Y = X  # specialization collapsing the right-hand side
+        worst = max(worst, weierstrass_residual(X, Y, Z, W, q, tol).rel_residual)
+    return [("weierstrass_three_term", worst)]
+
+
+def _suite_sums(rng, draws, tol):
+    worst_s = worst_l = 0.0
+    for _ in range(draws):
+        p = float(rng.uniform(0.3, 0.8))
+        a = _rc(rng, p * 1.1, 0.9 / p)
+        z = _rc(rng, 0.5, 1.5)
+        worst_s = max(worst_s, ramanujan_sum_residual(a, z, p, tol).rel_residual)
+        z2 = _rc(rng, 1.05 * p, 0.95 / p)
+        worst_l = max(worst_l, logderiv_sum_residual(z2, p, tol).rel_residual)
+    return [("bilateral_secant_sum", worst_s),
+            ("bilateral_logderiv_sum", worst_l)]
+
+
+def _suite_diagonal(rng, draws, tol):
+    worst = 0.0
+    for _ in range(draws):
+        ctx = draw_context(rng, q_range=(0.3, 0.8))
+        c, d = sorted(rng.uniform(0.3, 1.2, size=2))
+        if d - c > 0.03:
+            rep = diagonal_identity_residual(float(c), float(d), ctx, tol)
+            worst = max(worst, rep.rel_residual)
+    return [("diagonal_logderiv_product", worst)]
+
+
+def _suite_fourier(rng, draws, tol):
+    """One frequency per pair; ``draws`` counts pairs."""
+    worst_e = worst_t = 0.0
+    for _ in range(draws):
+        ctx = draw_context(rng, q_range=(0.3, 0.85))
+        pair = draw_pair(rng, ctx)
+        eta = float(rng.uniform(-math.pi, math.pi))
+        worst_e = max(worst_e, fourier_equality_residual(eta, pair, ctx, tol).rel_residual)
+        worst_t = max(worst_t, trace_identity_residual(eta, pair, ctx, tol).rel_residual)
+    return [("fourier_three_route_equality", worst_e),
+            ("fourier_trace_one", worst_t)]
+
+
+def _suite_projection(rng, draws, tol):
+    """Ten frequencies per pair; ``draws`` counts pairs."""
+    worst = dict.fromkeys(("hermitian_residual", "det_residual",
+                           "trace_residual", "idempotent_residual"), 0.0)
+    for _ in range(draws):
+        ctx = draw_context(rng, q_range=(0.3, 0.85))
+        pair = draw_pair(rng, ctx)
+        for eta in rng.uniform(-math.pi, math.pi, size=10):
+            rep = projection_report(float(eta), pair, ctx, tol)
+            for k in worst:
+                worst[k] = max(worst[k], rep[k])
+    return list(worst.items())
+
+
+SUITES = {
+    "theta": _suite_theta,
+    "theta_derivative": _suite_theta_derivative,
+    "hyper": _suite_hyper,
+    "weierstrass": _suite_weierstrass,
+    "sums": _suite_sums,
+    "diagonal": _suite_diagonal,
+    "fourier": _suite_fourier,
+    "projection": _suite_projection,
+}
+
+THRESHOLDS = {
+    "theta_identities": 1e-10,
+    "theta_derivative_fd": 1e-8,
+    "qdiff_equation": 1e-9,
+    "heine_transform": 1e-8,
+    "watson_transform": 1e-8,
+    "weierstrass_three_term": 1e-10,
+    "bilateral_secant_sum": 1e-8,
+    "bilateral_logderiv_sum": 1e-8,
+    "diagonal_logderiv_product": 1e-8,
+    "fourier_three_route_equality": 1e-8,
+    "fourier_trace_one": 1e-8,
+    "hermitian_residual": 1e-10,
+    "det_residual": 1e-10,
+    "trace_residual": 1e-10,
+    "idempotent_residual": 1e-9,
+}
+
+
+def apply_thresholds(rows) -> list[tuple[str, float, float, bool]]:
+    """(check, worst residual) rows to (check, worst, threshold, passed)
+    rows; a check passes when its worst residual is below its threshold."""
+    return [(check, worst, THRESHOLDS[check], worst < THRESHOLDS[check])
+            for check, worst in rows]

@@ -7,14 +7,10 @@ import time
 from collections import Counter
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from qtail import (
     DEFAULT_TOL,
-    DegeneracyError,
-    Phi21Params,
-    PoleError,
     QContext,
     QParam,
     RegimeI,
@@ -28,26 +24,22 @@ from qtail import (
     elliptic_kernel,
     elliptic_kernel_equal,
     exact_outcome_probabilities,
-    fourier_closed,
-    heine_rhs,
-    jacobi_imaginary_rhs,
-    phi21,
-    projection_report,
-    qdiff_residual,
-    qpoch_inf,
     sample_window,
     sine_limit_scan,
     tail_limit_scan,
-    theta,
-    theta3,
     trig_limit_scan,
     validate_pair,
     validate_quadruple,
-    watson_rhs,
-    weierstrass_residual,
 )
 from qtail.kernels import _elliptic_direct
-from qtail.verify import draw_context, draw_pair, draw_quadruple, fourier_equality_residual
+from qtail.verify import (
+    SUITES,
+    THRESHOLDS,
+    apply_thresholds,
+    draw_context,
+    draw_pair,
+    fourier_equality_residual,
+)
 
 from conftest import DELTA_REF, GAMMA_REF, Q_REF, ZM_REF, ZP_REF
 
@@ -58,105 +50,53 @@ def _line(num, name, ok, detail, t0):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _rc(rng, lo, hi):
-    return float(rng.uniform(lo, hi)) * cmath.exp(1j * float(rng.uniform(0, 2 * math.pi)))
+def _run(suite, seed, draws):
+    """A registry suite on the gate's seed: the worst residual of each check,
+    and whether every check is below its registry threshold."""
+    rows = apply_thresholds(SUITES[suite](np.random.default_rng(seed), draws, DEFAULT_TOL))
+    return {check: worst for check, worst, _, _ in rows}, all(passed for *_, passed in rows)
+
+
+def _t(check):
+    """The registry threshold of ``check`` as the gate prints it (1e-9)."""
+    return f"{THRESHOLDS[check]:.0e}".replace("e-0", "e-")
 
 
 def test_criterion_01_theta_identities():
     t0 = time.time()
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(100):
-        q = QParam(float(rng.uniform(0.3, 0.9)))
-        z = _rc(rng, 0.3, 2.0)
-        th = theta(z, q).value
-        worst = max(worst, abs(theta(q.q * z, q).value + th / z)
-                    / max(abs(th / z), 1e-30))
-        worst = max(worst, abs(theta(q.q / z, q).value - th) / max(abs(th), 1e-30))
-        lhs = theta3(z, q).value
-        rhs = qpoch_inf(q.q, q).value * theta(-math.sqrt(q.q) * z, q).value
-        scale = abs(theta3(abs(z), q).value)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale, 1e-30))
-        qm = QParam(float(rng.uniform(0.3, 0.55)))
-        zi = float(rng.uniform(0.5, 1.5)) * cmath.exp(1j * float(rng.uniform(-2.2, 2.2)))
-        li = theta3(zi, qm).value
-        ri = jacobi_imaginary_rhs(zi, qm).value
-        worst = max(worst, abs(li - ri) / max(abs(li), abs(ri), 1e-30))
+    worst, ok = _run("theta", 101, 100)
     elapsed_ok = time.time() - t0 < 5.0
-    _line(1, "theta identities", worst < 1e-10 and elapsed_ok,
-          f"max residual {worst:.3e} (threshold 1e-10), 100 draws", t0)
+    _line(1, "theta identities", ok and elapsed_ok,
+          f"max residual {worst['theta_identities']:.3e} "
+          f"(threshold {_t('theta_identities')}), 100 draws", t0)
 
 
 def test_criterion_02_hypergeometric():
     t0 = time.time()
-    rng = np.random.default_rng(102)
-    worst_q = worst_hw = 0.0
-    n_q = n_hw = 0
-    while n_q < 100 or n_hw < 100:
-        q = QParam(float(rng.uniform(0.3, 0.8)))
-        try:
-            p = Phi21Params(_rc(rng, 0.2, 1.5), _rc(rng, 0.2, 1.5), _rc(rng, 0.3, 1.2), q)
-        except Exception:
-            continue
-        if n_q < 100:
-            z = float(rng.uniform(1.2, 3.0)) * cmath.exp(
-                1j * float(rng.uniform(0.05, 2 * math.pi - 0.05)))
-            try:
-                res, scale = qdiff_residual(p, z)
-                worst_q = max(worst_q, res / max(scale, 1e-30))
-                n_q += 1
-            except ArithmeticError:
-                pass
-        if n_hw < 100:
-            zs = _rc(rng, 0.1, 0.6)
-            f = phi21(p, zs).value
-            h = heine_rhs(p, zs).value
-            worst_hw = max(worst_hw, abs(f - h) / max(abs(f), abs(h), 1e-30))
-            zw = float(rng.uniform(1.2, 3.0)) * cmath.exp(
-                1j * float(rng.uniform(0.05, 2 * math.pi - 0.05)))
-            try:
-                w = watson_rhs(p, zw).value
-                fw = phi21(p, zw).value
-                worst_hw = max(worst_hw, abs(fw - w) / max(abs(fw), abs(w), 1e-30))
-            except (PoleError, DegeneracyError):
-                pass
-            n_hw += 1
+    worst, ok = _run("hyper", 102, 100)
+    worst_hw = max(worst["heine_transform"], worst["watson_transform"])
     elapsed_ok = time.time() - t0 < 10.0
-    _line(2, "2phi1 continuation and transforms",
-          worst_q < 1e-9 and worst_hw < 1e-8 and elapsed_ok,
-          f"q-difference {worst_q:.3e} (<1e-9), Heine/Watson {worst_hw:.3e} (<1e-8)", t0)
+    _line(2, "2phi1 continuation and transforms", ok and elapsed_ok,
+          f"q-difference {worst['qdiff_equation']:.3e} (<{_t('qdiff_equation')}), "
+          f"Heine/Watson {worst_hw:.3e} (<{_t('heine_transform')})", t0)
 
 
 def test_criterion_03_weierstrass():
     t0 = time.time()
-    rng = np.random.default_rng(103)
-    worst = 0.0
-    for i in range(100):
-        q = QParam(float(rng.uniform(0.3, 0.9)))
-        X, Y, Z, W = (_rc(rng, 0.3, 2.0) for _ in range(4))
-        if i % 10 == 0:
-            Y = X  # specialization collapsing the right-hand side
-        worst = max(worst, weierstrass_residual(X, Y, Z, W, q).rel_residual)
+    worst, ok = _run("weierstrass", 103, 100)
     elapsed_ok = time.time() - t0 < 5.0
-    _line(3, "three-term theta relation", worst < 1e-10 and elapsed_ok,
-          f"max residual {worst:.3e} (threshold 1e-10), 100 draws", t0)
+    _line(3, "three-term theta relation", ok and elapsed_ok,
+          f"max residual {worst['weierstrass_three_term']:.3e} "
+          f"(threshold {_t('weierstrass_three_term')}), 100 draws", t0)
 
 
 def test_criterion_04_summation_identities():
     t0 = time.time()
-    from qtail import logderiv_sum_residual, ramanujan_sum_residual
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(100):
-        p = float(rng.uniform(0.3, 0.8))
-        a = _rc(rng, p * 1.1, 0.9 / p)
-        z = _rc(rng, 0.5, 1.5)
-        worst = max(worst, ramanujan_sum_residual(a, z, p).rel_residual)
-        z2 = _rc(rng, 1.05 * p, 0.95 / p)
-        worst = max(worst, logderiv_sum_residual(z2, p).rel_residual)
+    worst, ok = _run("sums", 104, 100)
     elapsed_ok = time.time() - t0 < 10.0
-    _line(4, "bilateral summation identities", worst < 1e-8 and elapsed_ok,
-          f"max residual {worst:.3e} (threshold 1e-8), 100 draws", t0)
+    _line(4, "bilateral summation identities", ok and elapsed_ok,
+          f"max residual {max(worst.values()):.3e} "
+          f"(threshold {_t('bilateral_secant_sum')}), 100 draws", t0)
 
 
 def test_criterion_05_fourier_three_routes():
@@ -171,25 +111,15 @@ def test_criterion_05_fourier_three_routes():
         for eta in etas:
             worst = max(worst, fourier_equality_residual(float(eta), pair, ctx).rel_residual)
     elapsed_ok = time.time() - t0 < 60.0
-    _line(5, "Fourier matrix route agreement", worst < 1e-8 and elapsed_ok,
-          f"max entrywise residual {worst:.3e} (threshold 1e-8), "
+    ok = worst < THRESHOLDS["fourier_three_route_equality"]
+    _line(5, "Fourier matrix route agreement", ok and elapsed_ok,
+          f"max entrywise residual {worst:.3e} (threshold {_t('fourier_three_route_equality')}), "
           f"20 pairs x 307 frequencies", t0)
 
 
 def test_criterion_06_projection_structure():
     t0 = time.time()
-    rng = np.random.default_rng(106)
-    worst = {"hermitian_residual": 0.0, "det_residual": 0.0,
-             "trace_residual": 0.0, "idempotent_residual": 0.0}
-    for _ in range(20):
-        ctx = draw_context(rng, q_range=(0.3, 0.85))
-        pair = draw_pair(rng, ctx)
-        for eta in rng.uniform(-math.pi, math.pi, size=10):
-            rep = projection_report(float(eta), pair, ctx)
-            for k in worst:
-                worst[k] = max(worst[k], rep[k])
-    ok = (worst["hermitian_residual"] < 1e-10 and worst["det_residual"] < 1e-10
-          and worst["trace_residual"] < 1e-10 and worst["idempotent_residual"] < 1e-9)
+    worst, ok = _run("projection", 106, 20)
     elapsed_ok = time.time() - t0 < 30.0
     _line(6, "rank-one projection structure", ok and elapsed_ok,
           "herm {hermitian_residual:.1e} det {det_residual:.1e} "

@@ -161,6 +161,24 @@ class TestSample:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,flag", [
+        (["eval", "elliptic", *PAIR, "--x", "+:0", "--y", "+:1"], "--q"),
+        (["eval", "elliptic", *LATTICE, "--delta", str(DELTA_REF), "--x", "+:0", "--y", "+:1"],
+         "--gamma"),
+        (["eval", "elliptic", *LATTICE, *PAIR, "--y", "+:1"], "--x"),
+        (["eval", "trig", "--d", "0.7"], "--c"),
+        (["eval", "sine", "--m", "1"], "--phi"),
+        (["scan", "tail", *LATTICE, *PAIR, "--beta", str(DELTA_REF * 0.125)], "--alpha"),
+    ])
+    def test_missing_parameter(self, capsys, argv, flag):
+        assert main(argv) == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+
+    def test_zero_tolerance_is_rejected(self, capsys):
+        rc = main(["eval", "elliptic", *LATTICE, *PAIR, "--x", "+:0", "--y", "+:1",
+                   "--tol", "0"])
+        assert rc == EXIT_VALIDATION
+
     def test_validation_error(self, capsys):
         rc = main(["eval", "elliptic", "--q", "0.5", "--gamma", "0.3", "--delta", "-0.3",
                    "--x", "+:0", "--y", "+:1"])

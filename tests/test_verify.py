@@ -16,7 +16,8 @@ from qtail import (
     trace_identity_residual,
     weierstrass_residual,
 )
-from qtail.verify import draw_context, draw_pair, draw_quadruple
+from qtail.cli import EXIT_OK, EXIT_VERIFY_FAIL, main
+from qtail.verify import THRESHOLDS, draw_context, draw_pair, draw_quadruple
 
 
 def rc(rng, lo=0.3, hi=2.0):
@@ -110,3 +111,13 @@ class TestDraws:
         a = draw_pair(np.random.default_rng(42), draw_context(np.random.default_rng(42)))
         b = draw_pair(np.random.default_rng(42), draw_context(np.random.default_rng(42)))
         assert a == b
+
+
+class TestRegistry:
+    def test_verify_all_prints_each_threshold_once(self, capsys):
+        # every registry suite at 2 draws: each check it reports has a
+        # threshold, and each threshold belongs to one reported check
+        code = main(["verify", "all", "--seed", "0", "--draws", "2"])
+        assert code in (EXIT_OK, EXIT_VERIFY_FAIL)
+        lines = capsys.readouterr().out.splitlines()
+        assert sorted(l.split(":")[0].split("/")[1] for l in lines) == sorted(THRESHOLDS)
