@@ -8,7 +8,6 @@ associated determinantal point processes.
 
 __version__ = "0.1.0"
 
-from .backend import backend_name
 from .qspecial import (
     DEFAULT_TOL,
     DomainError,

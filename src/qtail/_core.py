@@ -1,8 +1,9 @@
-"""Pure-Python implementations of the hot inner loops.
+"""The raw product and series loops under the special functions.
 
-These mirror the compiled versions in ``_corec.pyx`` exactly; the backend
-module picks whichever is available.  All functions are scalar, branch-free
-where possible, and return plain tuples so the two backends stay in sync.
+q-Pochhammer, its log, the theta log-derivative, 2phi1 partial sums and
+theta3.  All functions are scalar and return plain tuples; argument
+reduction and the choice of cut-offs live in the callers (``qspecial``,
+``qhyper``, ``kernels``).
 """
 
 import cmath

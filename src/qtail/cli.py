@@ -27,7 +27,6 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .backend import backend_name
 from .dpp import SampleConfig, Window, correlation, sample_window
 from .fourier import fourier_closed
 from .kernels import (
@@ -125,7 +124,6 @@ def _output(args, payload: dict, rows: list[dict]) -> None:
             "schema_version": SCHEMA_VERSION,
             "tool": "qtail",
             "version": __version__,
-            "backend": backend_name(),
             "command": sys.argv[1:],
             "params": {k: (emit_complex(v) if isinstance(v, complex) else v)
                        for k, v in vars(args).items() if k != "func"},
@@ -379,8 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command == "scan" and args.q_sweep is None:
-        args.q_sweep = [0.9, 0.95, 0.99, 0.995] if args.which == "sine" \
-            else [0.8, 0.9, 0.95, 0.99]
+        args.q_sweep = list((RegimeI if args.which == "sine" else RegimeII).q_sweep)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import logqpoch_raw
+from ._core import logqpoch_raw
 from .qhyper import DegeneracyError, Phi21Params, PoleError, phi21
 from .qspecial import (
     DEFAULT_TOL,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .backend import phi21_raw
+from ._core import phi21_raw
 from .qspecial import DEFAULT_TOL, DomainError, EvalResult, QParam, Tolerance, qpoch_multi
 
 __all__ = [

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .backend import logqpoch_raw, qpoch_raw, theta3_raw, theta_logderiv_raw
+from ._core import logqpoch_raw, qpoch_raw, theta3_raw, theta_logderiv_raw
 
 __all__ = [
     "QParam",

@@ -15,7 +15,7 @@ from qtail.cli import (
     parse_complex,
     parse_point,
 )
-from qtail import DomainError, LatticePoint
+from qtail import DomainError, LatticePoint, RegimeI
 
 from conftest import DELTA_REF, GAMMA_REF
 
@@ -112,7 +112,6 @@ class TestOutputFiles:
         manifest = json.loads((tmp_path / "res.json.manifest.json").read_text())
         assert manifest["schema_version"] == 1
         assert manifest["tool"] == "qtail"
-        assert manifest["backend"] in ("compiled", "python")
         assert manifest["params"]["q"] == 0.5
         assert manifest["params"]["gamma"] == [GAMMA_REF, 0.0]
 
@@ -147,6 +146,16 @@ class TestScan:
         assert rc == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert [p["q"] for p in out["points"]] == [0.9, 0.95]
+
+    def test_sine_scan_without_sweep_uses_regime_default(self, tmp_path):
+        out = tmp_path / "sine.json"
+        rc = main(["scan", "sine", "--phi", "1.2", "--m", "1", "--n", "0",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        data = json.loads(out.read_text())
+        manifest = json.loads((tmp_path / "sine.json.manifest.json").read_text())
+        assert manifest["params"]["q_sweep"] == list(RegimeI.q_sweep)
+        assert [p["q"] for p in data["points"]] == list(RegimeI.q_sweep)
 
 
 class TestSample:

@@ -1,5 +1,5 @@
 """Determinantal sampling: window validation, correlation functions, the
-inclusion-exclusion oracle, and statistical agreement of the sampler."""
+exact outcome oracle, and statistical agreement of the sampler."""
 
 import math
 from collections import Counter
@@ -91,6 +91,24 @@ class TestExactOracle:
         for i in range(4):
             marg = sum(p for S, p in probs.items() if i in S)
             assert marg == pytest.approx(correlation([window4.points[i]], kern), abs=1e-10)
+
+    def test_two_point_outcomes_from_correlations(self, ctx, kern):
+        # inclusion-exclusion written out by hand for n = 2
+        pts = [ctx.point(1, 0), ctx.point(-1, 1)]
+        K = kernel_matrix(pts, kern)
+        k00, k11 = K[0, 0].real, K[1, 1].real
+        det = correlation(pts, kern)
+        probs = exact_outcome_probabilities(pts, kern)
+        assert set(probs) == {(), (0,), (1,), (0, 1)}
+        assert probs[()] == pytest.approx(1.0 - k00 - k11 + det, abs=1e-13)
+        assert probs[(0,)] == pytest.approx(k00 - det, abs=1e-13)
+        assert probs[(1,)] == pytest.approx(k11 - det, abs=1e-13)
+        assert probs[(0, 1)] == pytest.approx(det, abs=1e-13)
+
+    def test_kernel_above_identity_gives_negative_probability(self, ctx):
+        # K = 1.5 on one point: P(empty) = 1 - 1.5, kept signed
+        probs = exact_outcome_probabilities([ctx.point(1, 0)], lambda x, y: 1.5)
+        assert probs == pytest.approx({(): -0.5, (0,): 1.5}, abs=1e-15)
 
     def test_rejects_large_window(self, ctx, kern):
         pts = [ctx.point(1, k) for k in range(13)]
