@@ -199,6 +199,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tolerance(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.seed < 0:
+        raise DomainError("seed must be a non-negative integer")
     rng = np.random.default_rng(args.seed)
     rows = []
     for name in names:
@@ -230,6 +232,8 @@ def cmd_scan(args) -> int:
         rows = [{"M": M, "error": e} for M, e in scan]
         payload = {"schema_version": SCHEMA_VERSION, "scan": "tail", "points": rows}
     elif args.which == "trig":
+        if args.q_sweep is None:
+            args.q_sweep = list(RegimeII.q_sweep)
         reg = RegimeII(c=args.c, d=args.d, mirrored=args.mirrored,
                        q_sweep=tuple(args.q_sweep))
         scan = trig_limit_scan(args.u, args.v, args.i, args.j, reg, tol)
@@ -237,6 +241,8 @@ def cmd_scan(args) -> int:
         payload = {"schema_version": SCHEMA_VERSION, "scan": "trig",
                    "mirrored": args.mirrored, "points": rows}
     else:
+        if args.q_sweep is None:
+            args.q_sweep = list(RegimeI.q_sweep)
         reg = RegimeI(phi=args.phi, s=args.s, q_sweep=tuple(args.q_sweep))
         scan = sine_limit_scan(args.m, args.n, args.sign, reg, tol)
         rows = [{"q": q, "error": e} for q, e in scan]
@@ -376,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "scan" and args.q_sweep is None:
-        args.q_sweep = list((RegimeI if args.which == "sine" else RegimeII).q_sweep)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -66,6 +66,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.n_samples <= 0:
             raise DomainError("n_samples must be positive")
+        if self.seed < 0:
+            raise DomainError("seed must be a non-negative integer")
 
 
 def kernel_matrix(points: Sequence[LatticePoint], kernel: Kernel) -> np.ndarray:

@@ -122,12 +122,15 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
     s, pp_pref, mm_pref, cross_pref = _closed_constants(pair, ctx, tol)
     e = cmath.exp(1j * eta)
-    ec = cmath.exp(-1j * eta)
     den = theta_multi([-e * qv * s / g, -e * qv * s / d], q, tol).value
-    pp = pp_pref * theta_multi([-e * zp * s, -ec * zp * s], q, tol).value / den
-    mm = mm_pref * theta_multi([-e * zm * s, -ec * zm * s], q, tol).value / den
-    pm = cross_pref * theta_multi([-e * zp * s, -ec * zm * s], q, tol).value / den
-    mp = cross_pref * theta_multi([-e * zm * s, -ec * zp * s], q, tol).value / den
+    # q, zeta_+-, s are real, so theta(-e^{-i eta} zeta s) is the conjugate
+    # of theta(-e^{i eta} zeta s), bit for bit
+    tp = theta(-e * zp * s, q, tol).value
+    tm = theta(-e * zm * s, q, tol).value
+    pp = pp_pref * (tp * tp.conjugate()) / den
+    mm = mm_pref * (tm * tm.conjugate()) / den
+    pm = cross_pref * (tp * tm.conjugate()) / den
+    mp = cross_pref * (tm * tp.conjugate()) / den
     return Matrix2C(pp, pm, mp, mm)
 
 
@@ -158,7 +161,7 @@ def _lemma_constants(pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> tup
     mp_pref = C * r_mp / sqTheta * tprime1 / theta(zm / zp, q, tol).value
     th_gpdm = theta_multi([g * zp, d * zm], q, tol).value
     th_dpgm = theta_multi([d * zp, g * zm], q, tol).value
-    return C, sq, pp_side, mm_side, r_pm, r_mp, pm_pref, mp_pref, th_gpdm, th_dpgm
+    return C, sq, pp_side, mm_side, r_pm, pm_pref, mp_pref, th_gpdm, th_dpgm
 
 
 # Every cache that holds per-pair work, in kernels.py and here.
@@ -177,7 +180,7 @@ def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
     via the two classical bilateral summation formulas)."""
     q = ctx.q
     g, d = pair.gamma, pair.delta
-    (C, sq, pp_side, mm_side, r_pm, r_mp,
+    (C, sq, pp_side, mm_side, r_pm,
      pm_pref, mp_pref, th_gpdm, th_dpgm) = _lemma_constants(pair, ctx, tol)
     e = cmath.exp(1j * eta)
 
@@ -190,14 +193,19 @@ def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
 
     th_g = theta(-e * sq / g, q, tol).value
     th_d = theta(-e * sq / d, q, tol).value
-    pm = pm_pref * (
-        th_gpdm * theta(e * r_pm * r_pm * sq / g, q, tol).value / th_g
-        - th_dpgm * theta(e * r_pm * r_pm * sq / d, q, tol).value / th_d
-    )
-    mp = mp_pref * (
-        th_gpdm * theta(e * r_mp * r_mp * sq / d, q, tol).value / th_d
-        - th_dpgm * theta(e * r_mp * r_mp * sq / g, q, tol).value / th_g
-    )
+    pm_g = theta(e * r_pm * r_pm * sq / g, q, tol).value
+    pm_d = theta(e * r_pm * r_pm * sq / d, q, tol).value
+    pm = pm_pref * (th_gpdm * pm_g / th_g - th_dpgm * pm_d / th_d)
+    # The mp entry needs theta(e^{i eta} sq / (r_pm^2 delta)) and the same
+    # at gamma.  By theta(z) = theta(q/z) and q delta / sq = sq / gamma they
+    # are the conjugates of theta(e^{i eta} r_pm^2 sq / conj(gamma)) and the
+    # same at conj(delta): the pm thetas, with gamma and delta swapped for a
+    # real pair (a principal pair is stored with delta = conj(gamma) exactly).
+    if pair.series == "principal":
+        mp_d, mp_g = pm_d.conjugate(), pm_g.conjugate()
+    else:
+        mp_d, mp_g = pm_g.conjugate(), pm_d.conjugate()
+    mp = mp_pref * (th_gpdm * mp_d / th_d - th_dpgm * mp_g / th_g)
     return Matrix2C(pp, pm, mp, mm)
 
 

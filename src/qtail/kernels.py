@@ -50,8 +50,6 @@ __all__ = [
     "validate_quadruple",
     "C_elliptic",
     "log_C_elliptic",
-    "elliptic_P",
-    "elliptic_Q",
     "elliptic_kernel",
     "elliptic_kernel_equal",
     "elliptic_diag_contour",
@@ -132,6 +130,17 @@ def _canonical(z) -> complex:
     return complex(z.real + 0.0, z.imag + 0.0)
 
 
+def _canonical_pair(a, b, series: str) -> tuple[complex, complex]:
+    """The pair (a, b) as stored: b = conj(a) exactly for a principal pair,
+    both real for a complementary one (``_classify`` admits either up to
+    rounding).  The Fourier routes rely on the exact symmetry to take half
+    their thetas as conjugates of the other half."""
+    a = _canonical(a)
+    if series == "principal":
+        return a, _canonical(a.conjugate())
+    return _canonical(a.real), _canonical(complex(b).real)
+
+
 @dataclass(frozen=True)
 class AdmissiblePair:
     gamma: complex
@@ -139,8 +148,9 @@ class AdmissiblePair:
     series: str  # "principal" | "complementary"
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _canonical(self.gamma))
-        object.__setattr__(self, "delta", _canonical(self.delta))
+        g, d = _canonical_pair(self.gamma, self.delta, self.series)
+        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "delta", d)
 
     @property
     def equal(self) -> bool:
@@ -157,8 +167,10 @@ class AdmissibleQuadruple:
     gd_series: str
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, _canonical(getattr(self, name)))
+        a, b = _canonical_pair(self.alpha, self.beta, self.ab_series)
+        g, d = _canonical_pair(self.gamma, self.delta, self.gd_series)
+        for name, v in (("alpha", a), ("beta", b), ("gamma", g), ("delta", d)):
+            object.__setattr__(self, name, v)
 
     @property
     def pair(self) -> AdmissiblePair:
@@ -356,7 +368,8 @@ def C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL
 
 def _elliptic_PQ(x: float, pair: AdmissiblePair, ctx: QContext,
                  tol: Tolerance) -> tuple[complex, complex]:
-    """(P(x), Q(x)) from one theta(x gamma), theta(x delta) pair, real x."""
+    """(P(x), Q(x)) = sqrt(|x|) (theta(x delta), theta(x gamma)) /
+    sqrt(theta(x gamma) theta(x delta)) from one theta pair, real x."""
     x = float(x)
     tg = theta(x * pair.gamma, ctx.q, tol).value
     td = theta(x * pair.delta, ctx.q, tol).value
@@ -365,15 +378,6 @@ def _elliptic_PQ(x: float, pair: AdmissiblePair, ctx: QContext,
     den = cmath.sqrt(complex(1.0) * tg * td)
     r = math.sqrt(abs(x))
     return r * td / den, r * tg / den
-
-
-def elliptic_P(x: float, pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
-    """sqrt(|x|) theta(x delta) / sqrt(theta(x gamma) theta(x delta)), real x."""
-    return _elliptic_PQ(x, pair, ctx, tol)[0]
-
-
-def elliptic_Q(x: float, pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
-    return _elliptic_PQ(x, pair, ctx, tol)[1]
 
 
 def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext,
@@ -522,26 +526,36 @@ def _diag_contour(x: float, eps: float, integrand, pref: complex,
     the imaginary part of its log is unwrapped node to node around the
     circle so the square root never jumps branches.  The node count doubles
     from 64 until two rings agree to 1e-10; past ``max_nodes`` the last
-    ring is returned.
+    ring is returned.  Ring 2n holds ring n's nodes at its even indices
+    (the phases are bitwise equal), so each ring evaluates ``integrand``
+    only at its new odd nodes.
     """
 
-    def ring(n: int) -> complex:
+    def node(j: int, n: int) -> tuple:
+        ph = cmath.exp(2j * math.pi * j / n)
+        z = x + eps * ph
+        return ph, z, integrand(z)
+
+    def ring(nodes: list) -> complex:
         acc = 0.0 + 0.0j
         prev_im = 0.0
-        for j in range(n):
-            ph = cmath.exp(2j * math.pi * j / n)
-            z = x + eps * ph
-            lr, num = integrand(z)
+        for ph, z, (lr, num) in nodes:
             im = lr.imag + 2.0 * math.pi * round((prev_im - lr.imag) / (2.0 * math.pi))
             prev_im = im
             rat = cmath.exp(0.5 * complex(lr.real, im))
             acc += pref * rat * num / (z - x) ** 2 * ph
-        return acc * eps / n
+        return acc * eps / len(nodes)
 
+    nodes = []
     prev = None
     n = 64
     while n <= max_nodes:
-        val = ring(n)
+        if nodes:
+            odd = [node(j, n) for j in range(1, n, 2)]
+            nodes = [nd for both in zip(nodes, odd) for nd in both]
+        else:
+            nodes = [node(j, n) for j in range(n)]
+        val = ring(nodes)
         if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
             return _wrap(val, tol)
         prev = val

@@ -157,6 +157,13 @@ class TestScan:
         assert manifest["params"]["q_sweep"] == list(RegimeI.q_sweep)
         assert [p["q"] for p in data["points"]] == list(RegimeI.q_sweep)
 
+    def test_tail_scan_records_no_sweep(self, tmp_path):
+        out = tmp_path / "tail.json"
+        rc = main(["scan", "tail", *LATTICE, *QUAD, "--m-max", "2", "--out", str(out)])
+        assert rc == EXIT_OK
+        manifest = json.loads((tmp_path / "tail.json.manifest.json").read_text())
+        assert manifest["params"]["q_sweep"] is None
+
 
 class TestSample:
     def test_sample_outcomes(self, capsys):
@@ -187,6 +194,14 @@ class TestExitCodes:
         rc = main(["eval", "elliptic", *LATTICE, *PAIR, "--x", "+:0", "--y", "+:1",
                    "--tol", "0"])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", *LATTICE, *PAIR, "--points", "+:0,+:1", "--draws", "10"],
+        ["verify", "theta", "--draws", "2"],
+    ])
+    def test_negative_seed_is_rejected(self, capsys, argv):
+        assert main([*argv, "--seed", "-1"]) == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
 
     def test_validation_error(self, capsys):
         rc = main(["eval", "elliptic", "--q", "0.5", "--gamma", "0.3", "--delta", "-0.3",

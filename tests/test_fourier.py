@@ -20,8 +20,10 @@ from qtail import (
     tilde_kernel,
     validate_pair,
 )
+from qtail import fourier, qspecial
 from qtail.fourier import _PAIR_CACHES, _closed_constants, _lemma_constants, truncation_order
 from qtail.kernels import _CACHE_SIZE, _PairPlan
+from qtail.qspecial import theta, theta_logderiv, theta_multi
 from qtail.verify import draw_context, draw_pair
 
 from conftest import GAMMA_REF, DELTA_REF
@@ -103,6 +105,98 @@ class TestLatticeSum:
                 )
         got = fourier_series(eta, pair, ctx).as_array()
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def _closed_ten_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
+    """fourier_closed with each entry's two numerator thetas evaluated."""
+    q, qv = ctx.q, ctx.q.q
+    g, d = pair.gamma, pair.delta
+    zp, zm = ctx.zeta_plus, ctx.zeta_minus
+    s, pp_pref, mm_pref, cross_pref = _closed_constants(pair, ctx, tol)
+    e, ec = cmath.exp(1j * eta), cmath.exp(-1j * eta)
+    den = theta_multi([-e * qv * s / g, -e * qv * s / d], q, tol).value
+    return np.array([
+        [pp_pref * theta_multi([-e * zp * s, -ec * zp * s], q, tol).value / den,
+         cross_pref * theta_multi([-e * zp * s, -ec * zm * s], q, tol).value / den],
+        [cross_pref * theta_multi([-e * zm * s, -ec * zp * s], q, tol).value / den,
+         mm_pref * theta_multi([-e * zm * s, -ec * zm * s], q, tol).value / den]])
+
+
+def _lemma_six_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
+    """fourier_lemma_form with each of the six eta-dependent thetas evaluated."""
+    q = ctx.q
+    g, d = pair.gamma, pair.delta
+    C, sq, pp_side, mm_side, r_pm, pm_pref, mp_pref, th_gpdm, th_dpgm = \
+        _lemma_constants(pair, ctx, tol)
+    r_mp = 1.0 / r_pm
+    e = cmath.exp(1j * eta)
+
+    def ld(z):
+        return z * theta_logderiv(z, q, tol)
+
+    def th(z):
+        return theta(z, q, tol).value
+
+    th_g, th_d = th(-e * sq / g), th(-e * sq / d)
+    return np.array([
+        [C * (pp_side - ld(-e * sq / g) + ld(-e * sq / d)),
+         pm_pref * (th_gpdm * th(e * r_pm * r_pm * sq / g) / th_g
+                    - th_dpgm * th(e * r_pm * r_pm * sq / d) / th_d)],
+        [mp_pref * (th_gpdm * th(e * r_mp * r_mp * sq / d) / th_d
+                    - th_dpgm * th(e * r_mp * r_mp * sq / g) / th_g),
+         C * (mm_side - ld(-e * sq / d) + ld(-e * sq / g))]])
+
+
+class TestDistinctThetas:
+    """Each route evaluates every distinct theta once per eta: the closed
+    form takes theta(-e^{-i eta} zeta s) as the conjugate of
+    theta(-e^{i eta} zeta s), the lemma form takes its mp thetas from the
+    pm thetas."""
+
+    GRID = [0.0, math.pi, -math.pi] + list(np.linspace(-math.pi, math.pi, 33))
+
+    @pytest.fixture
+    def pairs(self, ctx, pair, principal_pair):
+        # the reference pair, a principal pair, and a complementary pair on
+        # the negative anchor
+        minus = validate_pair(0.31 / ctx.zeta_minus, 0.44 / ctx.zeta_minus, ctx)
+        return [pair, principal_pair, minus]
+
+    def test_closed_is_the_ten_theta_formula(self, ctx, pairs):
+        for p in pairs:
+            for eta in self.GRID:
+                got = fourier_closed(float(eta), p, ctx).as_array()
+                assert np.array_equal(got, _closed_ten_thetas(float(eta), p, ctx))
+
+    def test_closed_at_negative_zero_is_closed_at_zero(self, ctx, pairs):
+        for p in pairs:
+            assert (fourier_closed(-0.0, p, ctx).as_array().tobytes()
+                    == fourier_closed(0.0, p, ctx).as_array().tobytes())
+
+    def test_lemma_is_the_six_theta_formula(self, ctx, pairs):
+        for p in pairs:
+            for eta in self.GRID:
+                got = fourier_lemma_form(float(eta), p, ctx).as_array()
+                want = _lemma_six_thetas(float(eta), p, ctx)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("route", [fourier_closed, fourier_lemma_form])
+    def test_four_thetas_per_eta(self, monkeypatch, ctx, pairs, route):
+        calls = []
+
+        def counting(z, q, tol=DEFAULT_TOL):
+            calls.append(z)
+            return theta(z, q, tol)
+
+        monkeypatch.setattr(qspecial, "theta", counting)
+        monkeypatch.setattr(fourier, "theta", counting)
+        etas = (0.3, -2.2, math.pi)
+        for p in pairs:
+            route(0.0, p, ctx)              # builds the eta-independent constants
+            calls.clear()
+            for eta in etas:
+                route(eta, p, ctx)
+            assert len(calls) == 4 * len(etas)
 
 
 class TestRouteCaches:

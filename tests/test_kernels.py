@@ -33,7 +33,7 @@ from qtail import (
     validate_pair,
     validate_quadruple,
 )
-from qtail.kernels import C_elliptic, _PairPlan, _elliptic_direct, _logaddexp
+from qtail.kernels import C_elliptic, _PairPlan, _diag_contour, _elliptic_direct, _logaddexp
 
 from conftest import DELTA_REF, GAMMA_REF
 
@@ -138,6 +138,32 @@ class TestValidation:
         cold_caches()
         second = [entries(minus), entries(plus)]
         assert first[0] == first[1] == second[0] == second[1]
+
+
+    def test_near_pairs_are_stored_exactly(self, ctx):
+        """_classify admits delta up to 1e-12 off conj(gamma) and real
+        pairs with imaginary residue up to 1e-14; the stored pair is the
+        exact conjugate or real pair."""
+        g = 0.7 * cmath.exp(0.9j)
+        assert validate_pair(g, g.conjugate() * (1 + 1e-13), ctx).delta == g.conjugate()
+        near = validate_pair(complex(GAMMA_REF, 1e-15 * GAMMA_REF),
+                             complex(DELTA_REF, -1e-15 * DELTA_REF), ctx)
+        assert (near.gamma, near.delta) == (complex(GAMMA_REF), complex(DELTA_REF))
+        alpha = complex(GAMMA_REF / 8, 1e-15 * GAMMA_REF / 8)
+        quad = validate_quadruple(alpha, DELTA_REF / 8, g, g.conjugate() * (1 - 1e-13), ctx)
+        assert quad.alpha.imag == 0.0 and quad.delta == g.conjugate()
+
+    def test_both_spellings_compute_equal(self, ctx, cold_caches):
+        g = 0.7 * cmath.exp(0.9j)
+        points = [ctx.point(1, 0), ctx.point(1, 2), ctx.point(-1, 0), ctx.point(-1, -1)]
+
+        def entries(pair):
+            return _bits([elliptic_kernel(x, y, pair, ctx).value
+                          for x in points for y in points])
+
+        near = entries(validate_pair(g, g.conjugate() * (1 + 1e-13), ctx))
+        cold_caches()
+        assert entries(validate_pair(g, g.conjugate(), ctx)) == near
 
 
 class TestEllipticClosedForms:
@@ -277,6 +303,60 @@ class TestBasicKernel:
         deep = basic_kernel(ctx.point(1, 40), ctx.point(1, 40), quad, ctx).value
         target = elliptic_kernel(ctx.point(1, 0), ctx.point(1, 0), pair, ctx).value
         assert abs(deep - target) < 1e-5
+
+
+def _ring_by_ring(x, eps, integrand, pref, max_nodes):
+    """The contour diagonal with every ring evaluated at all of its nodes."""
+    prev = None
+    n = 64
+    while n <= max_nodes:
+        acc = 0.0 + 0.0j
+        prev_im = 0.0
+        for j in range(n):
+            ph = cmath.exp(2j * math.pi * j / n)
+            z = x + eps * ph
+            lr, num = integrand(z)
+            im = lr.imag + 2.0 * math.pi * round((prev_im - lr.imag) / (2.0 * math.pi))
+            prev_im = im
+            acc += pref * cmath.exp(0.5 * complex(lr.real, im)) * num / (z - x) ** 2 * ph
+        val = acc * eps / n
+        if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
+            return val
+        prev = val
+        n *= 2
+    return prev
+
+
+class TestDiagContour:
+    X, EPS, PREF = -0.3, 0.1, 0.7 - 0.2j
+
+    def _integrand(self, num):
+        """Weight z^2 and numerator ``num``; records every node it is called at.
+        The circle crosses the negative axis, where the log ratio's
+        imaginary part jumps by 4 pi, so the unwrap is exercised."""
+        calls = []
+
+        def integrand(z):
+            calls.append(z)
+            return 2.0 * cmath.log(z) - 2.0 * cmath.log(self.X), num(z)
+
+        return integrand, calls
+
+    def test_each_node_is_evaluated_once(self):
+        # sqrt(w(z)/w(x)) = z/x, so the integral is pref d/dz (z/x) = pref/x
+        integrand, calls = self._integrand(lambda z: 1.0)
+        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL, 512).value
+        assert len(calls) == 128
+        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF, 512)
+        assert abs(got - self.PREF / self.X) < 1e-14
+
+    def test_unconverged_rings_reuse_nodes(self):
+        # |z - x - eps| is not analytic, so no two rings agree to 1e-10
+        integrand, calls = self._integrand(lambda z: abs(z - self.X - self.EPS))
+        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL, 512).value
+        assert len(calls) == 512
+        assert len(set(calls)) == 512
+        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF, 512)
 
 
 class TestLogAddExp:
