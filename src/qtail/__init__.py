@@ -50,7 +50,6 @@ from .kernels import (
     closed_pp,
     elliptic_diag_contour,
     elliptic_kernel,
-    elliptic_kernel_equal,
     frak_C,
     frak_F,
     frak_F_transformed,

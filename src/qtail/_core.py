@@ -1,9 +1,10 @@
 """The raw product and series loops under the special functions.
 
-q-Pochhammer, its log, the theta log-derivative, 2phi1 partial sums and
-theta3.  All functions are scalar and return plain tuples; argument
-reduction and the choice of cut-offs live in the callers (``qspecial``,
-``qhyper``, ``kernels``).
+q-Pochhammer, its log, the theta log-derivative, divided differences of
+theta and of z theta'/theta, 2phi1 partial sums and theta3.  All functions
+are scalar and return plain tuples; argument reduction and the choice of
+cut-offs live in the callers (``qspecial``, ``qhyper``, ``kernels``,
+``fourier``).
 """
 
 import cmath
@@ -71,6 +72,56 @@ def theta_logderiv_raw(z, q, cut):
         if i > _MAX_ITER:
             raise ArithmeticError("theta log-derivative did not converge")
     return total, p * (abs(zinv2) + 1.0) / (1.0 - q)
+
+
+def theta_ratio_dd_raw(a, b, q, cut):
+    """rho(a, b) = (theta(a)/theta(b) - 1)/(a - b) over the factor ratios
+    1 + (a - b) c_i of theta(a)/theta(b): E <- E + c_i (1 + (a - b) E) keeps
+    E = (partial ratio - 1)/(a - b), so nothing cancels as b -> a and
+    rho(a, a) = theta'(a)/theta(a).  Not valid where b lies on q^Z."""
+    d, total = a - b, -1.0 / (1.0 - b)
+    scale = max(abs(a), abs(b), 1.0 / abs(a), 1.0 / abs(b))
+    p = q
+    while p * scale > cut:  # as the product loops stop
+        total += -p / (1.0 - b * p) * (1.0 + d * total)
+        total += p / (a * (b - p)) * (1.0 + d * total)
+        p *= q
+    return total, p * scale * abs(1.0 + d * total) / (1.0 - q)
+
+
+def theta_dd_raw(a, b, c, q, cut):
+    """T = [theta](a, b)/theta(c) and P = theta(b)/theta(c), [theta](a, b) =
+    (theta(a) - theta(b))/(a - b), in one pass over the factors f_i of theta
+    divided by f_i(c): T <- (f_i(a) T + P [f_i]) / f_i(c), with [f_i] = -q^i
+    for 1 - z q^i and q^i/(a b) for 1 - q^i/z.  Nothing cancels as b -> a,
+    and T stays finite where theta(b) = 0.  c must lie off q^Z.
+    """
+    T, P = -1.0 / (1.0 - c), (1.0 - b) / (1.0 - c)
+    scale = max(abs(a), abs(b), abs(c), 1.0 / abs(a), 1.0 / abs(b), 1.0 / abs(c))
+    p = q
+    while p * scale > cut:  # as the product loops stop
+        g = 1.0 / (1.0 - c * p)
+        T = ((1.0 - a * p) * T - p * P) * g
+        P *= (1.0 - b * p) * g
+        g = 1.0 / (1.0 - p / c)
+        T = ((1.0 - p / a) * T + p / (a * b) * P) * g
+        P *= (1.0 - p / b) * g
+        p *= q
+    return T, P
+
+
+def zlogderiv_dd_raw(a, b, q, cut):
+    """Divided difference [F](a, b) = (F(a) - F(b)) / (a - b) of
+    F(z) = z theta'(z)/theta(z), term by term; F'(a) at a = b.  Not valid
+    where a or b lies on q^Z.
+    """
+    total = -1.0 / ((1.0 - a) * (1.0 - b))
+    scale = max(abs(a), abs(b), 1.0 / abs(a), 1.0 / abs(b))
+    p = q
+    while p * scale > cut:  # as the product loops stop
+        total += -p / ((1.0 - a * p) * (1.0 - b * p)) - p / ((a - p) * (b - p))
+        p *= q
+    return total, p * (1.0 + abs(1.0 / (a * b))) / (1.0 - q)
 
 
 def phi21_raw(a1, a2, b, z, q, cut, max_terms):

@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from collections import Counter
 
@@ -58,17 +59,26 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+def finite_float(s) -> float:
+    """A float flag or part of a complex one; nan and inf are rejected."""
+    x = float(s)
+    if not math.isfinite(x):
+        raise DomainError(f"{s!r} is not a finite number")
+    return x
+
+
 def parse_complex(s: str) -> complex:
-    """Accept 're+imi', 're-imi', '[re,im]', or a plain real."""
+    """Accept 're+imi', 're-imi', '[re,im]', or a plain real, with finite parts."""
     s = s.strip()
     if s.startswith("[") and s.endswith("]"):
         parts = s[1:-1].split(",")
         if len(parts) != 2:
             raise DomainError(f"bad complex literal {s!r}")
-        return complex(float(parts[0]), float(parts[1]))
+        return complex(finite_float(parts[0]), finite_float(parts[1]))
     if s.endswith("i"):
-        return complex(s[:-1].replace("i", "j") + "j")
-    return complex(float(s), 0.0)
+        z = complex(s[:-1].replace("i", "j") + "j")
+        return complex(finite_float(z.real), finite_float(z.imag))
+    return complex(finite_float(s), 0.0)
 
 
 def emit_complex(z: complex) -> list[float]:
@@ -201,6 +211,8 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.seed < 0:
         raise DomainError("seed must be a non-negative integer")
+    if args.draws < 1:
+        raise DomainError("draws must be a positive integer")
     rng = np.random.default_rng(args.seed)
     rows = []
     for name in names:
@@ -291,13 +303,13 @@ def cmd_sample(args) -> int:
 def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None, help="output file (manifest sidecar added)")
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance")
+    p.add_argument("--tol", type=finite_float, default=None, help="relative tolerance")
 
 
 def _add_lattice(p):
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--zeta-plus", dest="zeta_plus", type=float, default=1.0)
-    p.add_argument("--zeta-minus", dest="zeta_minus", type=float, default=-1.0)
+    p.add_argument("--q", type=finite_float, required=True)
+    p.add_argument("--zeta-plus", dest="zeta_plus", type=finite_float, default=1.0)
+    p.add_argument("--zeta-minus", dest="zeta_minus", type=finite_float, default=-1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,25 +320,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate a kernel")
     pe.add_argument("kind", choices=("basic", "elliptic", "trig", "sine", "fourier"))
-    pe.add_argument("--q", type=float, default=None)
-    pe.add_argument("--zeta-plus", dest="zeta_plus", type=float, default=1.0)
-    pe.add_argument("--zeta-minus", dest="zeta_minus", type=float, default=-1.0)
+    pe.add_argument("--q", type=finite_float, default=None)
+    pe.add_argument("--zeta-plus", dest="zeta_plus", type=finite_float, default=1.0)
+    pe.add_argument("--zeta-minus", dest="zeta_minus", type=finite_float, default=-1.0)
     pe.add_argument("--gamma", type=parse_complex, default=None)
     pe.add_argument("--delta", type=parse_complex, default=None)
     pe.add_argument("--alpha", type=parse_complex, default=None)
     pe.add_argument("--beta", type=parse_complex, default=None)
     pe.add_argument("--x", default=None, help="lattice point '+:k' or '-:k'")
     pe.add_argument("--y", default=None)
-    pe.add_argument("--eta", type=float, default=0.0)
-    pe.add_argument("--phi", type=float, default=None)
+    pe.add_argument("--eta", type=finite_float, default=0.0)
+    pe.add_argument("--phi", type=finite_float, default=None)
     pe.add_argument("--m", type=int, default=0)
     pe.add_argument("--n", type=int, default=0)
-    pe.add_argument("--u", type=float, default=0.0)
-    pe.add_argument("--v", type=float, default=0.0)
+    pe.add_argument("--u", type=finite_float, default=0.0)
+    pe.add_argument("--v", type=finite_float, default=0.0)
     pe.add_argument("--i", type=int, default=1)
     pe.add_argument("--j", type=int, default=1)
-    pe.add_argument("--c", type=float, default=None)
-    pe.add_argument("--d", type=float, default=None)
+    pe.add_argument("--c", type=finite_float, default=None)
+    pe.add_argument("--d", type=finite_float, default=None)
     _add_common(pe)
     pe.set_defaults(func=cmd_eval)
 
@@ -339,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan", help="convergence scans")
     ps.add_argument("which", choices=("tail", "trig", "sine"))
-    ps.add_argument("--q", type=float, default=0.5)
-    ps.add_argument("--zeta-plus", dest="zeta_plus", type=float, default=1.0)
-    ps.add_argument("--zeta-minus", dest="zeta_minus", type=float, default=-1.0)
+    ps.add_argument("--q", type=finite_float, default=0.5)
+    ps.add_argument("--zeta-plus", dest="zeta_plus", type=finite_float, default=1.0)
+    ps.add_argument("--zeta-minus", dest="zeta_minus", type=finite_float, default=-1.0)
     ps.add_argument("--gamma", type=parse_complex, default=None)
     ps.add_argument("--delta", type=parse_complex, default=None)
     ps.add_argument("--alpha", type=parse_complex, default=None)
@@ -349,19 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--x", default="+:0")
     ps.add_argument("--y", default="+:1")
     ps.add_argument("--m-max", dest="m_max", type=int, default=40)
-    ps.add_argument("--c", type=float, default=0.3)
-    ps.add_argument("--d", type=float, default=0.7)
-    ps.add_argument("--u", type=float, default=0.4)
-    ps.add_argument("--v", type=float, default=0.1)
+    ps.add_argument("--c", type=finite_float, default=0.3)
+    ps.add_argument("--d", type=finite_float, default=0.7)
+    ps.add_argument("--u", type=finite_float, default=0.4)
+    ps.add_argument("--v", type=finite_float, default=0.1)
     ps.add_argument("--i", type=int, default=1)
     ps.add_argument("--j", type=int, default=1)
     ps.add_argument("--mirrored", action="store_true")
-    ps.add_argument("--phi", type=float, default=1.2)
-    ps.add_argument("--s", type=float, default=1.0)
+    ps.add_argument("--phi", type=finite_float, default=1.2)
+    ps.add_argument("--s", type=finite_float, default=1.0)
     ps.add_argument("--m", type=int, default=1)
     ps.add_argument("--n", type=int, default=0)
     ps.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    ps.add_argument("--q-sweep", dest="q_sweep", type=float, nargs="+",
+    ps.add_argument("--q-sweep", dest="q_sweep", type=finite_float, nargs="+",
                     default=None)
     _add_common(ps)
     ps.set_defaults(func=cmd_scan)

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _CACHE_SIZE, AdmissiblePair, QContext, C_elliptic, _PairPlan
+from ._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
+from .kernels import _CACHE_SIZE, AdmissiblePair, QContext, _PairPlan
 from .qspecial import (
     DEFAULT_TOL,
     Tolerance,
     qpoch_inf,
     theta,
-    theta_logderiv,
     theta_multi,
 )
 
@@ -134,34 +134,34 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
     return Matrix2C(pp, pm, mp, mm)
 
 
-def _LD(z: complex, q, tol: Tolerance) -> complex:
-    return z * theta_logderiv(z, q, tol)
-
-
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _lemma_constants(pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> tuple:
-    """The eta-independent factors of ``fourier_lemma_form``: C,
-    sqrt(q gamma delta), the zeta-side log-derivative differences of the
-    pp and mm entries, the zeta-side theta products of the cross entries
-    and their prefactors."""
+    """The eta-independent factors of ``fourier_lemma_form``, with the
+    plan's B = C (delta - gamma) in place of C: the zeta-side pp and mm
+    terms, B, sqrt(q gamma delta), 1/(gamma delta), delta - gamma, r^2 =
+    zeta_+/|zeta_-|, the zeta-side part of the cross entries' recurrence,
+    their prefactors and theta(gamma zeta_+) theta(delta zeta_-)."""
     q = ctx.q
-    qv = q.q
+    qv, cut = q.q, tol.cut
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    C = C_elliptic(pair, ctx, tol).value
+    B = _PairPlan.build(pair, ctx, tol).B
     sq = math.sqrt(qv * (g * d).real)       # sqrt(q gamma delta), positive root
-    pp_side = _LD(d * zp, q, tol) - _LD(g * zp, q, tol)
-    mm_side = _LD(g * zm, q, tol) - _LD(d * zm, q, tol)
-    Theta = theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real
-    sqTheta = math.sqrt(Theta)
+    pp0 = B * zp * zlogderiv_dd_raw(d * zp, g * zp, qv, cut)[0]
+    mm0 = -B * zm * zlogderiv_dd_raw(d * zm, g * zm, qv, cut)[0]
+    sqTheta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real)
     tprime1 = -(qpoch_inf(qv, q, tol).value ** 2)  # theta'(1)
     r_pm = math.sqrt(abs(zp / zm))
-    r_mp = 1.0 / r_pm
-    pm_pref = C * r_pm / sqTheta * tprime1 / theta(zp / zm, q, tol).value
-    mp_pref = C * r_mp / sqTheta * tprime1 / theta(zm / zp, q, tol).value
+    pm_c = -B * r_pm / sqTheta * tprime1 / theta(zp / zm, q, tol).value
+    mp_c = -B / (r_pm * sqTheta) * tprime1 / theta(zm / zp, q, tol).value
+    eps = d - g
+    # theta(delta zeta_+)/theta(gamma zeta_+) = 1 + eps k1 and
+    # theta(gamma zeta_-)/theta(delta zeta_-) = 1 + eps k2
+    k1 = zp * theta_ratio_dd_raw(d * zp, g * zp, qv, cut)[0]
+    k2 = -zm * theta_ratio_dd_raw(g * zm, d * zm, qv, cut)[0]
+    E0 = k1 + k2 * (1.0 + eps * k1)
     th_gpdm = theta_multi([g * zp, d * zm], q, tol).value
-    th_dpgm = theta_multi([d * zp, g * zm], q, tol).value
-    return C, sq, pp_side, mm_side, r_pm, pm_pref, mp_pref, th_gpdm, th_dpgm
+    return pp0, mm0, B, sq, 1.0 / (g * d), eps, r_pm * r_pm, E0, pm_c, mp_c, th_gpdm
 
 
 # Every cache that holds per-pair work, in kernels.py and here.
@@ -178,35 +178,26 @@ def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
                        tol: Tolerance = DEFAULT_TOL) -> Matrix2C:
     """Theta log-derivative form of the same matrix (summed term by term
     via the two classical bilateral summation formulas)."""
-    q = ctx.q
+    qv, cut = ctx.q.q, tol.cut
     g, d = pair.gamma, pair.delta
-    (C, sq, pp_side, mm_side, r_pm,
-     pm_pref, mp_pref, th_gpdm, th_dpgm) = _lemma_constants(pair, ctx, tol)
+    pp0, mm0, B, sq, h, eps, r2, E, pm_c, mp_c, th_gpdm = _lemma_constants(pair, ctx, tol)
     e = cmath.exp(1j * eta)
-
-    # the eta terms enter as +e^{i eta}(s/gamma) theta'/theta at
-    # -e^{i eta} s/gamma, i.e. with sign opposite to z theta'(z)/theta(z)
-    ld_g = _LD(-e * sq / g, q, tol)
-    ld_d = _LD(-e * sq / d, q, tol)
-    pp = C * (pp_side - ld_g + ld_d)
-    mm = C * (mm_side - ld_d + ld_g)
-
-    th_g = theta(-e * sq / g, q, tol).value
-    th_d = theta(-e * sq / d, q, tol).value
-    pm_g = theta(e * r_pm * r_pm * sq / g, q, tol).value
-    pm_d = theta(e * r_pm * r_pm * sq / d, q, tol).value
-    pm = pm_pref * (th_gpdm * pm_g / th_g - th_dpgm * pm_d / th_d)
-    # The mp entry needs theta(e^{i eta} sq / (r_pm^2 delta)) and the same
-    # at gamma.  By theta(z) = theta(q/z) and q delta / sq = sq / gamma they
-    # are the conjugates of theta(e^{i eta} r_pm^2 sq / conj(gamma)) and the
-    # same at conj(delta): the pm thetas, with gamma and delta swapped for a
-    # real pair (a principal pair is stored with delta = conj(gamma) exactly).
-    if pair.series == "principal":
-        mp_d, mp_g = pm_d.conjugate(), pm_g.conjugate()
-    else:
-        mp_d, mp_g = pm_g.conjugate(), pm_d.conjugate()
-    mp = mp_pref * (th_gpdm * mp_d / th_d - th_dpgm * mp_g / th_g)
-    return Matrix2C(pp, pm, mp, mm)
+    a_g, a_d = -e * sq / g, -e * sq / d
+    # the eta terms enter with sign opposite to F(z) = z theta'(z)/theta(z):
+    # C (F(a_d) - F(a_g)) = B e sq h [F](a_g, a_d)
+    t = B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv, cut)[0]
+    # pm = -pm_c/B C (X(gamma, delta) - X(delta, gamma)), X(gamma, delta) =
+    # th_gpdm theta(b_g)/theta(a_g).  E <- E + k (1 + eps E) carries (product
+    # - 1)/eps over the factors 1 + eps k of the ratio of the two X but
+    # theta(b_d)/theta(b_g), taken as a divided difference: theta(b_g) may be 0.
+    k = -e * sq * h * theta_ratio_dd_raw(a_g, a_d, qv, cut)[0]
+    E += k * (1.0 + eps * E)
+    # [theta](b_d, b_g)/theta(a_g) and theta(b_g)/theta(a_g)
+    dd_b, r_b = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv, cut)
+    Z = th_gpdm * (r_b * E - (1.0 + eps * E) * e * r2 * sq * h * dd_b)
+    # mp is pm at e^{-i eta} (by theta(z) = theta(q/z)), which for a real
+    # pair or one stored with delta = conj(gamma) makes its Z conj(Z).
+    return Matrix2C(pp0 + t, pm_c * Z, mp_c * Z.conjugate(), mm0 - t)
 
 
 def projection_report(eta: float, pair: AdmissiblePair, ctx: QContext,

@@ -9,7 +9,8 @@ kernel families live here:
   quotients, with (gamma, delta) an admissible pair.
 
 Lattice evaluations of the theta kernel go through closed forms (theta-power
-ratios off the diagonal, log-derivative forms on it); all large-magnitude
+ratios off the diagonal, log-derivative forms on it), written with B = C
+(delta - gamma) so that gamma = delta takes the same path; large-magnitude
 combinations are assembled in log space so nothing overflows on the way to
 an O(1) kernel value.  Diagonal values of the four-parameter kernel use the
 contour-integral representation.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import logqpoch_raw
+from ._core import logqpoch_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, PoleError, phi21
 from .qspecial import (
     DEFAULT_TOL,
@@ -37,7 +38,6 @@ from .qspecial import (
     qpoch_inf,
     qpoch_multi,
     theta,
-    theta_logderiv,
     theta_multi,
 )
 
@@ -51,7 +51,6 @@ __all__ = [
     "C_elliptic",
     "log_C_elliptic",
     "elliptic_kernel",
-    "elliptic_kernel_equal",
     "elliptic_diag_contour",
     "closed_pp",
     "closed_mm",
@@ -88,8 +87,9 @@ class QContext:
     zeta_minus: float
 
     def __post_init__(self):
-        if not (self.zeta_plus > 0.0 > self.zeta_minus):
-            raise DomainError("need zeta_plus > 0 > zeta_minus")
+        if not (math.isfinite(self.zeta_plus) and math.isfinite(self.zeta_minus)
+                and self.zeta_plus > 0.0 > self.zeta_minus):
+            raise DomainError("need finite zeta_plus > 0 > zeta_minus")
 
     def point(self, sign: int, k: int) -> "LatticePoint":
         return LatticePoint(sign, k)
@@ -152,10 +152,6 @@ class AdmissiblePair:
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "delta", d)
 
-    @property
-    def equal(self) -> bool:
-        return abs(self.gamma - self.delta) < 1e-12 * abs(self.gamma)
-
 
 @dataclass(frozen=True)
 class AdmissibleQuadruple:
@@ -179,6 +175,8 @@ class AdmissibleQuadruple:
 
 def _classify(gamma: complex, delta: complex, ctx: QContext) -> str:
     gamma, delta = complex(gamma), complex(delta)
+    if not (cmath.isfinite(gamma) and cmath.isfinite(delta)):
+        raise DomainError("gamma, delta must be finite")
     if gamma == 0 or delta == 0:
         raise DomainError("gamma, delta must be nonzero")
     if abs(gamma.imag) > 1e-14 * abs(gamma):
@@ -232,110 +230,115 @@ def _wrap(value: complex, tol: Tolerance) -> EvalResult:
     return EvalResult(value, abs(value) * 10.0 * tol.rel_tol)
 
 
-_LOG2 = math.log(2.0)
+def _expm1(z: complex) -> complex:
+    """e^z - 1 without cancellation at small |z| (cmath has no expm1)."""
+    h = math.sin(0.5 * z.imag)
+    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * h * h,
+                   math.exp(z.real) * math.sin(z.imag))
 
 
-def _logaddexp(x: float, y: float) -> float:
-    """log(e^x + e^y) for two floats, in the branch order of np.logaddexp
-    (so the two agree bit for bit) without its per-call overhead."""
-    if x == y:
-        return x + _LOG2
-    return max(x, y) + math.log1p(math.exp(-abs(x - y)))
+def _sinh_quotient(x: int, s: complex, b: float) -> complex:
+    """e^-b sinh(x s) / sinh(s), integer x, and its limit x e^-b at s = 0;
+    no overflow while b >= |Re(x s)| - O(1), no cancellation as s -> 0."""
+    if s == 0:
+        return x * math.exp(-b)
+    A, sign = x * s, -0.5
+    if A.real < 0:
+        A, sign = -A, 0.5
+    return sign * cmath.exp(A - b) * _expm1(-2.0 * A) / cmath.sinh(s)
 
 
 @dataclass(frozen=True)
 class _PairPlan:
-    """Everything the theta-kernel closed forms need from one pair.
+    """Everything the theta-kernel closed forms need from one pair, built
+    once per (pair, ctx, tol) and kept in a bounded cache.
 
-    Built once per (pair, ctx, tol) and kept in a bounded cache: the four
-    values log theta(zeta_+- gamma), log theta(zeta_+- delta), the constant
-    C and the other m-independent constants.  Each closed form lives in one
-    method; ``lattice`` keeps the arrays of them that the lattice-sum
-    Fourier route needs.
+    Each closed form is C times a difference that vanishes at gamma = delta,
+    where C has its pole.  The plan holds B = C (delta - gamma), smooth
+    there, and writes each product as B times a divided difference, so
+    every admissible pair takes one path.  ``lattice`` keeps the arrays
+    that the lattice-sum Fourier route needs.
     """
 
     pair: AdmissiblePair
     ctx: QContext
     tol: Tolerance
-    lt_gm: complex  # log theta(zeta_- gamma)
-    lt_gp: complex  # log theta(zeta_+ gamma)
-    lt_dm: complex  # log theta(zeta_- delta)
-    lt_dp: complex  # log theta(zeta_+ delta)
-    logC: complex
-    C: complex
-    w: complex  # log(gamma / sqrt(gamma delta))
+    B: complex
+    R: float  # sqrt(gamma delta), positive root
+    s: complex  # log(gamma / R) = s + i pi kappa, with s -> 0 as delta -> gamma
+    flip: int  # (-1)^kappa
     lq: float  # log q
-    lg: complex  # log gamma
-    ld: complex  # log delta
-    half_theta4: float  # log of the positive root of the four-theta product
     half_lr: float
-    lgd: float  # log(gamma delta)
+    v: complex  # theta(zeta_- delta) theta(zeta_+ gamma) / |theta4|^(1/2)
+    D: complex  # (u - v) / (delta - gamma), u = v with gamma <-> delta
 
     @classmethod
     @functools.lru_cache(maxsize=_CACHE_SIZE)
     def build(cls, pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> "_PairPlan":
-        if pair.equal:
-            raise DomainError("constant degenerates at gamma = delta; use elliptic_kernel_equal")
         g, d = pair.gamma, pair.delta
         q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
         lt_gm = log_theta(g * zm, q, tol)
         lt_gp = log_theta(g * zp, q, tol)
         lt_dm = log_theta(d * zm, q, tol)
         lt_dp = log_theta(d * zp, q, tol)
-        logC = (
+        # B = -theta(g zm, g zp, d zm, d zp)
+        #     / (zp theta(zm/zp, g d zm zp) (q g/d, q d/g, q, q; q)_inf)
+        logB = (
             lt_gm + lt_gp + lt_dm + lt_dp
+            + 1j * math.pi
             - math.log(zp)
             - log_theta(zm / zp, q, tol)
             - log_theta(g * d * zm * zp, q, tol)
         )
-        logC += cmath.log(d - g) - cmath.log(g * d)
-        logC -= _log_qpoch(d / g, q, tol) + _log_qpoch(g / d, q, tol) + 2.0 * _log_qpoch(q.q, q, tol)
+        logB -= _log_qpoch(q.q * g / d, q, tol) + _log_qpoch(q.q * d / g, q, tol)
+        logB -= 2.0 * _log_qpoch(q.q, q, tol)
+        half_theta4 = 0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real
+        R = math.sqrt((g * d).real)
+        # gamma = R e^w and delta = R e^-w; w tends to i pi, not 0, for a
+        # negative pair, and to i pi for a principal pair with phi -> pi
+        w = cmath.log(g / R)
+        kappa = round(w.imag / math.pi)
+        rho_p, _ = theta_ratio_dd_raw(d * zp, g * zp, q.q, tol.cut)
+        rho_m, _ = theta_ratio_dd_raw(d * zm, g * zm, q.q, tol.cut)
         return cls(
-            pair, ctx, tol, lt_gm, lt_gp, lt_dm, lt_dp,
-            logC=logC,
-            C=cmath.exp(logC),
-            # positive root s of gamma*delta > 0
-            w=cmath.log(g / math.sqrt((g * d).real)),
+            pair, ctx, tol,
+            B=cmath.exp(logB),
+            R=R,
+            s=w - 1j * math.pi * kappa,
+            flip=(-1) ** kappa,
             lq=math.log(q.q),
-            lg=cmath.log(g),
-            ld=cmath.log(d),
-            half_theta4=0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real,
             half_lr=0.5 * math.log(abs(zp / zm)),
-            lgd=math.log((g * d).real),
+            v=cmath.exp(lt_dm + lt_gp - half_theta4),
+            # theta(d z)/theta(g z) = 1 + (d - g) z rho(d z, g z)
+            D=cmath.exp(lt_gm + lt_gp - half_theta4) * (zp * rho_p - zm * rho_m),
         )
 
     def same(self, x: int) -> complex:
-        """C times the theta-power ratio at exponent difference x != 0; the
-        same-branch closed forms are this up to a sign."""
-        return self.C * _sinh_ratio(x * self.w, 0.5 * x * self.lq)
+        """C sinh(x w) / sinh(x log(q) / 2), x != 0, the same-branch closed
+        forms up to a sign.  As delta - gamma = -2 R sinh(w), it is -(B / 2R)
+        (-1)^(kappa (x - 1)) sinh(x s) / (sinh(s) sinh(x log(q) / 2))."""
+        b = -0.5 * abs(x) * self.lq
+        return (-self.B / self.R * self.flip ** (x - 1)
+                * _sinh_quotient(abs(x), self.s, b) / math.expm1(-2.0 * b))
 
     def cross(self, m: int, n: int) -> complex:
-        """K(zeta_+ q^m, zeta_- q^n), assembled in log space."""
-        t1 = m * self.lg + n * self.ld + self.lt_gm + self.lt_dp
-        t2 = n * self.lg + m * self.ld + self.lt_dm + self.lt_gp
-        flip = 1.0
-        if t1.real < t2.real:
-            t1, t2, flip = t2, t1, -1.0
-        log_denom = _logaddexp(self.half_lr + 0.5 * (m - n) * self.lq,
-                               -self.half_lr + 0.5 * (n - m) * self.lq)
-        L = (
-            self.logC
-            + 1j * math.pi * m                   # (-1)^m
-            - 0.5 * (m + n) * self.lgd
-            - self.half_theta4
-            + t1
-            - log_denom
-        )
-        return flip * cmath.exp(L) * (1.0 - cmath.exp(t2 - t1))
+        """K(zeta_+ q^m, zeta_- q^n) = (-1)^m C (e^{kw} u - e^{-kw} v) / e^l,
+        k = m - n, e^l = (x - y) / sqrt(|x y|); as the difference is e^{kw}
+        (u - v) + 2 v sinh(k w), = (-1)^m B (e^{kw} D - v sinh(k w) / (R sinh w)) / e^l."""
+        k = m - n
+        beta = abs(self.half_lr + 0.5 * k * self.lq)
+        ell = beta + math.log1p(math.exp(-2.0 * beta))  # log(2 cosh(beta))
+        val = (cmath.exp(k * self.s - ell) * self.D
+               - self.flip * self.v * _sinh_quotient(k, self.s, ell) / self.R)
+        return (-1) ** m * self.flip ** k * self.B * val
 
     def diag(self, sign: int) -> complex:
-        """K(zeta_s q^m, zeta_s q^m) via theta log-derivatives."""
+        """K(zeta q^m, zeta q^m) = sign C (F(delta zeta) - F(gamma zeta))
+        = sign B zeta [F](delta zeta, gamma zeta), F(z) = z theta'(z)/theta(z)."""
         g, d = self.pair.gamma, self.pair.delta
-        q, tol = self.ctx.q, self.tol
         zeta = self.ctx.zeta_plus if sign > 0 else self.ctx.zeta_minus
-        td = d * theta_logderiv(d * zeta, q, tol)
-        tg = g * theta_logderiv(g * zeta, q, tol)
-        return self.C * zeta * (td - tg) if sign > 0 else self.C * zeta * (tg - td)
+        dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q, self.tol.cut)
+        return sign * self.B * zeta * dd
 
     @functools.lru_cache(maxsize=_CACHE_SIZE)
     def lattice(self, M: int) -> tuple:
@@ -358,45 +361,37 @@ class _PairPlan:
 
 
 def log_C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
-    """log of the theta-kernel normalizing constant (gamma != delta only)."""
-    return _PairPlan.build(pair, ctx, tol).logC
+    """log of the theta-kernel normalizing constant C = B / (delta - gamma),
+    which has its pole at gamma = delta."""
+    if pair.delta == pair.gamma:
+        raise DomainError("the constant C has its pole at gamma = delta")
+    return cmath.log(_PairPlan.build(pair, ctx, tol).B) - cmath.log(pair.delta - pair.gamma)
 
 
 def C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    return _wrap(_PairPlan.build(pair, ctx, tol).C, tol)
-
-
-def _elliptic_PQ(x: float, pair: AdmissiblePair, ctx: QContext,
-                 tol: Tolerance) -> tuple[complex, complex]:
-    """(P(x), Q(x)) = sqrt(|x|) (theta(x delta), theta(x gamma)) /
-    sqrt(theta(x gamma) theta(x delta)) from one theta pair, real x."""
-    x = float(x)
-    tg = theta(x * pair.gamma, ctx.q, tol).value
-    td = theta(x * pair.delta, ctx.q, tol).value
-    # the product as theta_multi forms it, signed zeros included: when it
-    # is negative real they choose the branch of the square root
-    den = cmath.sqrt(complex(1.0) * tg * td)
-    r = math.sqrt(abs(x))
-    return r * td / den, r * tg / den
+    return _wrap(cmath.exp(log_C_elliptic(pair, ctx, tol)), tol)
 
 
 def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext,
                      tol: Tolerance) -> complex:
-    """Quotient form C (P(x)Q(y) - Q(x)P(y))/(x - y); x != y, moderate q."""
-    C = C_elliptic(pair, ctx, tol).value
-    px, qx = _elliptic_PQ(xv, pair, ctx, tol)
-    py, qy = _elliptic_PQ(yv, pair, ctx, tol)
-    return C * (px * qy - qx * py) / (xv - yv)
+    """Quotient form C (P(x)Q(y) - Q(x)P(y))/(x - y); x != y, moderate q.
+    With (P, Q)(x) = sqrt(|x|) (theta(x delta), theta(x gamma)) / sqrt(theta(x
+    gamma) theta(x delta)), the numerator is (delta - gamma) Q(x) Q(y)
+    (x rho(x delta, x gamma) - y rho(y delta, y gamma))."""
+    g, d = pair.gamma, pair.delta
+    q, cut = ctx.q, tol.cut
 
+    def side(x: float) -> tuple[complex, complex]:
+        tg = theta(x * g, q, tol).value
+        td = theta(x * d, q, tol).value
+        # the product as theta_multi forms it, signed zeros included: when it
+        # is negative real they choose the branch of the square root
+        den = cmath.sqrt(complex(1.0) * tg * td)
+        rho, _ = theta_ratio_dd_raw(x * d, x * g, q.q, cut)
+        return math.sqrt(abs(x)) * tg / den, x * rho
 
-def _sinh_ratio(A: complex, B: float) -> complex:
-    """(e^A - e^-A) / (e^B - e^-B) without overflow; real B != 0."""
-    sign = 1.0
-    if A.real < 0 or (A.real == 0 and A.imag < 0):
-        A, sign = -A, -sign
-    if B < 0:
-        B, sign = -B, -sign
-    return sign * cmath.exp(A - B) * (1.0 - cmath.exp(-2.0 * A)) / (1.0 - math.exp(-2.0 * B))
+    (qx, rx), (qy, ry) = side(float(xv)), side(float(yv))
+    return _PairPlan.build(pair, ctx, tol).B * qx * qy * (rx - ry) / (xv - yv)
 
 
 def closed_pp(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
@@ -427,56 +422,6 @@ def closed_diag(sign: int, pair: AdmissiblePair, ctx: QContext,
     return _wrap(_PairPlan.build(pair, ctx, tol).diag(sign), tol)
 
 
-def _theta_dd(z: complex, q: QParam, tol: Tolerance) -> complex:
-    """d/dz of theta'(z)/theta(z) (term-by-term differentiated series)."""
-    z = complex(z)
-    out = -1.0 / (1.0 - z) ** 2
-    p = q.q
-    while p > tol.cut:
-        out += -(p * p) / (1.0 - z * p) ** 2 - p * (2.0 * z - p) / (z * z - p * z) ** 2
-        p *= q.q
-    return out
-
-
-def _log_A_equal(gamma: complex, ctx: QContext, tol: Tolerance) -> complex:
-    g = complex(gamma)
-    q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
-    return (
-        2.0 * (log_theta(g * zm, q, tol) + log_theta(g * zp, q, tol))
-        - math.log(zp)
-        - 4.0 * _log_qpoch(q.q, q, tol)
-        - log_theta(zm / zp, q, tol)
-        - log_theta(g * g * zm * zp, q, tol)
-    )
-
-
-def elliptic_kernel_equal(x, y, gamma: complex, ctx: QContext,
-                          tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """The theta kernel at equal parameters gamma = delta (real pair).
-
-    Off the diagonal this is the log-derivative closed form; on the
-    diagonal its derivative (the L'Hopital continuation).
-    """
-    g = complex(gamma)
-    q = ctx.q
-    xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
-    yv = y.value(ctx) if isinstance(y, LatticePoint) else float(y)
-    A = cmath.exp(_log_A_equal(g, ctx, tol))
-    if xv == yv:
-        t = xv * g
-        S = theta_logderiv(t, q, tol)
-        val = -A * abs(xv) * (S + t * _theta_dd(t, q, tol))
-        return _wrap(val, tol)
-    Lx = theta_logderiv(xv * g, q, tol)
-    Ly = theta_logderiv(yv * g, q, tol)
-    # the positive root of theta(x gamma)^2 is |theta|, so the sign of
-    # theta at each argument survives as a factor
-    sx = math.copysign(1.0, theta(xv * g, q, tol).value.real)
-    sy = math.copysign(1.0, theta(yv * g, q, tol).value.real)
-    val = A * sx * sy * math.sqrt(abs(xv * yv)) / (xv - yv) * (yv * Ly - xv * Lx)
-    return _wrap(val, tol)
-
-
 def elliptic_kernel(x, y, pair: AdmissiblePair, ctx: QContext,
                     tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """The theta kernel; lattice points dispatch to the closed forms.
@@ -484,8 +429,6 @@ def elliptic_kernel(x, y, pair: AdmissiblePair, ctx: QContext,
     Non-lattice (real or complex, off the singular set) arguments use the
     direct quotient form, which is safe at moderate q.
     """
-    if pair.equal:
-        return elliptic_kernel_equal(x, y, pair.gamma, ctx, tol)
     if isinstance(x, LatticePoint) and isinstance(y, LatticePoint):
         if x.sign == y.sign:
             if x.k == y.k:

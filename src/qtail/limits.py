@@ -53,8 +53,9 @@ class TrigParams:
     d: float
 
     def __post_init__(self):
-        if abs(math.sin(math.pi * (self.c - self.d))) < 1e-12:
-            raise DomainError("two-line kernel requires c - d not an integer")
+        if not (math.isfinite(self.c) and math.isfinite(self.d)) or abs(
+                math.sin(math.pi * (self.c - self.d))) < 1e-12:
+            raise DomainError("two-line kernel requires finite c, d with c - d not an integer")
 
 
 def trig_kernel(x: tuple[int, float], y: tuple[int, float], tp: TrigParams) -> float:
@@ -98,6 +99,8 @@ def tail_limit_scan(x, y, quad: AdmissibleQuadruple, ctx: QContext, M_max: int,
     K4 is the four-parameter kernel, K2 the two-parameter theta kernel
     with the same (gamma, delta).
     """
+    if M_max < 0:
+        raise DomainError("M_max must be a non-negative integer")
     target = elliptic_kernel(x, y, quad.pair, ctx, tol).value
     sgn = (1 if x.sign > 0 else -1) * (1 if y.sign > 0 else -1)
     out = []

@@ -3,6 +3,7 @@ sidecars, and exit codes."""
 
 import json
 
+import numpy as np
 import pytest
 
 from qtail.cli import (
@@ -15,8 +16,10 @@ from qtail.cli import (
     parse_complex,
     parse_point,
 )
-from qtail import DomainError, LatticePoint, RegimeI
+from qtail import (DomainError, LatticePoint, QContext, QParam, RegimeI, fourier_lemma_form,
+                   validate_pair)
 
+import theta_reference
 from conftest import DELTA_REF, GAMMA_REF
 
 LATTICE = ["--q", "0.5", "--zeta-plus", "1.3", "--zeta-minus", "-0.55"]
@@ -38,6 +41,11 @@ class TestParsing:
     def test_parse_complex_rejects_garbage(self):
         with pytest.raises((DomainError, ValueError)):
             parse_complex("[1,2,3]")
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "[1,nan]", "[-inf,0]", "nan+1i", "1-nani"])
+    def test_parse_complex_rejects_non_finite(self, s):
+        with pytest.raises(DomainError):
+            parse_complex(s)
 
     @pytest.mark.parametrize("s,expect", [
         ("+:3", LatticePoint(1, 3)),
@@ -176,6 +184,47 @@ class TestSample:
         assert all(0.0 < r < 1.0 for r in out["rho1"])
 
 
+class TestEqualPairs:
+    """gamma = delta and a pair 1e-11 apart take the one closed-form path."""
+
+    G = DELTA_REF
+    XS = [1.3, -0.55]  # the points +:0 and -:0
+
+    def _reference(self, delta):
+        return theta_reference.kernel_matrix(self.XS, self.G, delta, 0.5, 1.3, -0.55)
+
+    @pytest.mark.parametrize("delta", [DELTA_REF, DELTA_REF * (1.0 + 1e-11)])
+    def test_eval_elliptic(self, capsys, delta):
+        want = self._reference(delta)
+        for (x, i), (y, j) in ((("+:0", 0), ("-:0", 1)), (("+:0", 0), ("+:0", 0)),
+                               (("-:0", 1), ("-:0", 1))):
+            rc = main(["eval", "elliptic", *LATTICE, "--gamma", str(self.G),
+                       "--delta", str(delta), f"--x={x}", f"--y={y}"])
+            assert rc == EXIT_OK
+            got = complex(*json.loads(capsys.readouterr().out)["value"])
+            assert abs(got - want[i][j]) <= 1e-13
+
+    def test_eval_fourier(self, capsys):
+        rc = main(["eval", "fourier", *LATTICE, "--gamma", str(self.G),
+                   "--delta", str(self.G), "--eta", "0.7"])
+        assert rc == EXIT_OK
+        got = np.array([[complex(*v) for v in row]
+                        for row in json.loads(capsys.readouterr().out)["matrix"]])
+        ctx = QContext(QParam(0.5), 1.3, -0.55)
+        want = fourier_lemma_form(0.7, validate_pair(self.G, self.G, ctx), ctx).as_array()
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert abs(np.trace(got) - 1.0) <= 1e-13
+
+    def test_sample(self, capsys):
+        rc = main(["sample", *LATTICE, "--gamma", str(self.G), "--delta", str(self.G),
+                   "--points", "+:0,-:0", "--draws", "50"])
+        assert rc == EXIT_OK
+        rho1 = json.loads(capsys.readouterr().out)["rho1"]
+        want = self._reference(self.G)
+        assert abs(rho1[0] - want[0][0].real) <= 1e-13
+        assert abs(rho1[1] - want[1][1].real) <= 1e-13
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv,flag", [
         (["eval", "elliptic", *PAIR, "--x", "+:0", "--y", "+:1"], "--q"),
@@ -202,6 +251,35 @@ class TestExitCodes:
     def test_negative_seed_is_rejected(self, capsys, argv):
         assert main([*argv, "--seed", "-1"]) == EXIT_VALIDATION
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "elliptic", "--q", "0.5", "--gamma", "nan", "--delta", "0.3",
+         "--x=+:0", "--y=-:1"],
+        ["eval", "elliptic", "--q", "0.5", "--gamma", "[0.3,inf]", "--delta", "0.3",
+         "--x=+:0", "--y=-:1"],
+        ["eval", "elliptic", "--q", "0.5", "--zeta-plus", "inf", *PAIR, "--x=+:0", "--y=-:1"],
+        ["eval", "trig", "--c", "nan", "--d", "0.7"],
+        ["eval", "trig", "--c", "0.3", "--d", "0.7", "--u", "nan"],
+        ["eval", "sine", "--phi", "inf"],
+        ["eval", "fourier", *LATTICE, *PAIR, "--eta=-inf"],
+        ["scan", "sine", "--q-sweep", "0.9", "nan"],
+        ["verify", "theta", "--draws", "2", "--tol", "nan"],
+    ])
+    def test_non_finite_float_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert "invalid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_verify_without_draws_is_rejected(self, capsys, draws):
+        assert main(["verify", "all", "--draws", draws]) == EXIT_VALIDATION
+        assert "draws" in capsys.readouterr().err
+
+    def test_tail_scan_without_depths_is_rejected(self, capsys):
+        rc = main(["scan", "tail", *LATTICE, *QUAD, "--m-max", "-2"])
+        assert rc == EXIT_VALIDATION
+        assert "M_max" in capsys.readouterr().err
 
     def test_validation_error(self, capsys):
         rc = main(["eval", "elliptic", "--q", "0.5", "--gamma", "0.3", "--delta", "-0.3",

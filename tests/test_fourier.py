@@ -22,8 +22,8 @@ from qtail import (
 )
 from qtail import fourier, qspecial
 from qtail.fourier import _PAIR_CACHES, _closed_constants, _lemma_constants, truncation_order
-from qtail.kernels import _CACHE_SIZE, _PairPlan
-from qtail.qspecial import theta, theta_logderiv, theta_multi
+from qtail.kernels import _CACHE_SIZE, C_elliptic, _PairPlan
+from qtail.qspecial import qpoch_inf, theta, theta_logderiv, theta_multi
 from qtail.verify import draw_context, draw_pair
 
 from conftest import GAMMA_REF, DELTA_REF
@@ -123,13 +123,14 @@ def _closed_ten_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
 
 
 def _lemma_six_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
-    """fourier_lemma_form with each of the six eta-dependent thetas evaluated."""
-    q = ctx.q
+    """The log-derivative form as C times differences, with each of its six
+    eta-dependent thetas evaluated (gamma != delta)."""
+    q, qv = ctx.q, ctx.q.q
     g, d = pair.gamma, pair.delta
-    C, sq, pp_side, mm_side, r_pm, pm_pref, mp_pref, th_gpdm, th_dpgm = \
-        _lemma_constants(pair, ctx, tol)
-    r_mp = 1.0 / r_pm
-    e = cmath.exp(1j * eta)
+    zp, zm = ctx.zeta_plus, ctx.zeta_minus
+    C = C_elliptic(pair, ctx, tol).value
+    sq = math.sqrt(qv * (g * d).real)
+    r2 = abs(zp / zm)
 
     def ld(z):
         return z * theta_logderiv(z, q, tol)
@@ -137,21 +138,25 @@ def _lemma_six_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
     def th(z):
         return theta(z, q, tol).value
 
+    pref = C * math.sqrt(r2) * -(qpoch_inf(qv, q, tol).value ** 2) / math.sqrt(
+        theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real)
+    pm_pref = pref / th(zp / zm)
+    mp_pref = pref / (r2 * th(zm / zp))
+    gpdm, dpgm = th(g * zp) * th(d * zm), th(d * zp) * th(g * zm)
+    e = cmath.exp(1j * eta)
     th_g, th_d = th(-e * sq / g), th(-e * sq / d)
     return np.array([
-        [C * (pp_side - ld(-e * sq / g) + ld(-e * sq / d)),
-         pm_pref * (th_gpdm * th(e * r_pm * r_pm * sq / g) / th_g
-                    - th_dpgm * th(e * r_pm * r_pm * sq / d) / th_d)],
-        [mp_pref * (th_gpdm * th(e * r_mp * r_mp * sq / d) / th_d
-                    - th_dpgm * th(e * r_mp * r_mp * sq / g) / th_g),
-         C * (mm_side - ld(-e * sq / d) + ld(-e * sq / g))]])
+        [C * (ld(d * zp) - ld(g * zp) - ld(-e * sq / g) + ld(-e * sq / d)),
+         pm_pref * (gpdm * th(e * r2 * sq / g) / th_g - dpgm * th(e * r2 * sq / d) / th_d)],
+        [mp_pref * (gpdm * th(e * sq / (r2 * d)) / th_d - dpgm * th(e * sq / (r2 * g)) / th_g),
+         C * (ld(g * zm) - ld(d * zm) - ld(-e * sq / d) + ld(-e * sq / g))]])
 
 
 class TestDistinctThetas:
     """Each route evaluates every distinct theta once per eta: the closed
     form takes theta(-e^{-i eta} zeta s) as the conjugate of
-    theta(-e^{i eta} zeta s), the lemma form takes its mp thetas from the
-    pm thetas."""
+    theta(-e^{i eta} zeta s), the lemma form takes its mp entry from the pm
+    one and its other thetas from its divided-difference loops."""
 
     GRID = [0.0, math.pi, -math.pi] + list(np.linspace(-math.pi, math.pi, 33))
 
@@ -180,8 +185,8 @@ class TestDistinctThetas:
                 want = _lemma_six_thetas(float(eta), p, ctx)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("route", [fourier_closed, fourier_lemma_form])
-    def test_four_thetas_per_eta(self, monkeypatch, ctx, pairs, route):
+    @pytest.mark.parametrize("route,per_eta", [(fourier_closed, 4), (fourier_lemma_form, 0)])
+    def test_thetas_per_eta(self, monkeypatch, ctx, pairs, route, per_eta):
         calls = []
 
         def counting(z, q, tol=DEFAULT_TOL):
@@ -196,7 +201,7 @@ class TestDistinctThetas:
             calls.clear()
             for eta in etas:
                 route(eta, p, ctx)
-            assert len(calls) == 4 * len(etas)
+            assert len(calls) == per_eta * len(etas)
 
 
 class TestRouteCaches:

@@ -1,6 +1,6 @@
 """Lattice kernels: validation of pairs/quadruples, closed forms against the
 direct quotient, contour diagonals against the log-derivative diagonals,
-gauge structure, and the equal-parameter continuation."""
+gauge structure, and the limit of distinct pairs at gamma = delta."""
 
 import cmath
 import math
@@ -23,7 +23,6 @@ from qtail import (
     closed_pp,
     elliptic_diag_contour,
     elliptic_kernel,
-    elliptic_kernel_equal,
     frak_F,
     frak_F_transformed,
     gauge_eps,
@@ -33,8 +32,9 @@ from qtail import (
     validate_pair,
     validate_quadruple,
 )
-from qtail.kernels import C_elliptic, _PairPlan, _diag_contour, _elliptic_direct, _logaddexp
+from qtail.kernels import C_elliptic, _PairPlan, _diag_contour, _elliptic_direct
 
+import theta_reference
 from conftest import DELTA_REF, GAMMA_REF
 
 
@@ -49,6 +49,11 @@ class TestLatticeTypes:
             QContext(QParam(0.5), -1.0, -2.0)
         with pytest.raises(DomainError):
             QContext(QParam(0.5), 1.0, 2.0)
+
+    @pytest.mark.parametrize("zp,zm", [(math.inf, -1.0), (1.0, -math.inf), (math.nan, -1.0)])
+    def test_context_rejects_non_finite_anchors(self, zp, zm):
+        with pytest.raises(DomainError):
+            QContext(QParam(0.5), zp, zm)
 
     def test_point_value(self, ctx):
         assert ctx.point(1, 3).value(ctx) == pytest.approx(1.3 * 0.5 ** 3)
@@ -76,7 +81,6 @@ class TestLatticeTypes:
 class TestValidation:
     def test_complementary_pair(self, ctx, pair):
         assert pair.series == "complementary"
-        assert not pair.equal
 
     def test_principal_pair(self, ctx):
         g = 0.7 * cmath.exp(0.9j)
@@ -86,6 +90,14 @@ class TestValidation:
     def test_rejects_non_conjugate_complex(self, ctx):
         with pytest.raises(DomainError):
             validate_pair(0.7 * cmath.exp(0.9j), 0.7 * cmath.exp(0.5j), ctx)
+
+    @pytest.mark.parametrize("g,d", [(math.nan, 0.3), (0.3, math.inf),
+                                     (complex(0.3, math.nan), 0.3)])
+    def test_rejects_non_finite_parameters(self, ctx, g, d):
+        with pytest.raises(DomainError):
+            validate_pair(g, d, ctx)
+        with pytest.raises(DomainError):
+            validate_quadruple(g, d, GAMMA_REF, DELTA_REF, ctx)
 
     def test_rejects_opposite_sign_reals(self, ctx):
         with pytest.raises(DomainError):
@@ -220,21 +232,14 @@ class TestEqualParameters:
         g = GAMMA_REF
         eps = 1e-6
         points = [(1, 0), (1, 2), (-1, 0), (-1, 1)]
+        xs = [ctx.point(*a).value(ctx) for a in points]
+        equal = theta_reference.kernel_matrix(xs, g, g, ctx.q.q, ctx.zeta_plus, ctx.zeta_minus)
         for i, a in enumerate(points):
-            for b in points[i:]:
-                x, y = ctx.point(*a), ctx.point(*b)
-                equal = elliptic_kernel_equal(x, y, g, ctx).value
+            for j in range(i, len(points)):
+                x, y = ctx.point(*a), ctx.point(*points[j])
                 perturbed = elliptic_kernel(
                     x, y, validate_pair(g, g * (1.0 + eps), ctx), ctx).value
-                assert abs(equal - perturbed) <= 1e-4 * max(1.0, abs(equal))
-
-    def test_dispatch_from_elliptic_kernel(self, ctx):
-        g = GAMMA_REF
-        pair = validate_pair(g, g, ctx)
-        assert pair.equal
-        x, y = ctx.point(1, 0), ctx.point(1, 1)
-        assert elliptic_kernel(x, y, pair, ctx).value == pytest.approx(
-            elliptic_kernel_equal(x, y, g, ctx).value, rel=1e-12)
+                assert abs(equal[i][j] - perturbed) <= 1e-4 * max(1.0, abs(equal[i][j]))
 
 
 class TestGauges:
@@ -359,17 +364,6 @@ class TestDiagContour:
         assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF, 512)
 
 
-class TestLogAddExp:
-    def test_bitwise_equal_to_numpy(self, rng):
-        grid = [-745.0, -700.5, -60.0, -41.0, -1.0, -1e-300, -0.0, 0.0, 1e-300,
-                0.3, 1.0, 40.0, 41.5, 100.0, 709.0]
-        pairs = [(x, y) for x in grid for y in grid]   # x == y and |x - y| > 40 included
-        pairs += [(float(x), float(y)) for x, y in rng.normal(0.0, 30.0, size=(5000, 2))]
-        for x, y in pairs:
-            got, want = _logaddexp(x, y), float(np.logaddexp(x, y))
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (x, y)
-
-
 class TestPairPlanCache:
     def test_second_call_repeats_first_bitwise(self, ctx, pair, cold_caches):
         def calls():
@@ -395,7 +389,7 @@ class TestPairPlanCache:
         assert _PairPlan.build.cache_info().currsize == 3
         assert [p.ctx for p in plans] == [ctx, ctx2, ctx]
         assert [p.tol for p in plans] == [DEFAULT_TOL, DEFAULT_TOL, tol2]
-        assert plans[0].C != plans[1].C
+        assert plans[0].B != plans[1].B
         assert _PairPlan.build(pair, ctx, DEFAULT_TOL) is plans[0]
 
     def test_lattice_coefficients_match_entry_methods(self, ctx, pair, principal_pair):

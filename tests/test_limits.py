@@ -23,6 +23,11 @@ class TestTrigKernel:
         with pytest.raises(DomainError):
             TrigParams(0.7, 1.7)
 
+    @pytest.mark.parametrize("c,d", [(math.nan, 0.7), (0.3, math.inf)])
+    def test_rejects_non_finite_exponents(self, c, d):
+        with pytest.raises(DomainError):
+            TrigParams(c, d)
+
     def test_rejects_bad_line_index(self):
         tp = TrigParams(0.3, 0.7)
         with pytest.raises(DomainError):
@@ -67,6 +72,10 @@ class TestTailLimit:
         scan = tail_limit_scan(x, y, quad, ctx, 25)
         assert scan[-1][1] < 1e-4
         assert scan[-1][1] < scan[0][1]
+
+    def test_rejects_negative_depth(self, ctx, quad):
+        with pytest.raises(DomainError):
+            tail_limit_scan(ctx.point(1, 0), ctx.point(1, 1), quad, ctx, -1)
 
 
 class TestRegimeII:

@@ -1,0 +1,132 @@
+"""A 40-digit mpmath reference for the theta kernel at lattice points.
+
+For gamma != delta it is the quotient form
+
+    K(x, y) = C (P(x)Q(y) - Q(x)P(y)) / (x - y),
+    (P(x), Q(x)) = sqrt(|x|) (theta(x delta), theta(x gamma))
+                   / sqrt(theta(x gamma) theta(x delta)),
+
+with its limit C |x| (delta L(x delta) - gamma L(x gamma)) on the diagonal,
+L = theta'/theta.  At gamma = delta, where C has its pole, it is the
+equal-pair continuation: off the diagonal
+
+    A s_x s_y sqrt(|x y|) (y L(y gamma) - x L(x gamma)) / (x - y),
+
+with s_x the sign of theta(x gamma), and on it -A |x| (L(t) + t L'(t)),
+t = x gamma, where A = theta(gamma zeta_-)^2 theta(gamma zeta_+)^2 /
+(zeta_+ (q; q)^4 theta(zeta_- / zeta_+) theta(gamma^2 zeta_- zeta_+)).
+
+Every quantity is summed at 40 digits from the float inputs, so the
+cancellation in the quotient form near gamma = delta costs nothing that
+shows at double precision.
+"""
+
+import mpmath as mp
+
+DPS = 40
+
+
+def _powers(q, z=1):
+    """q^i for i >= 1 until q^i max(|z|, 1/|z|) is far below the working
+    precision, so that every dropped factor (1 - z q^i), (1 - q^i / z) is 1
+    to that precision."""
+    p, bound = q, mp.mpf(10) ** -DPS / max(abs(z), 1 / abs(z), 1)
+    while p > bound:
+        yield p
+        p *= q
+
+
+def _qpoch(z, q):
+    out = mp.mpf(1) - z
+    for p in _powers(q, z):
+        out *= 1 - z * p
+    return out
+
+
+def _theta_L(z, q):
+    """theta(z) and its log-derivative L(z) = theta'(z)/theta(z)."""
+    th, L = 1 - z, -1 / (1 - z)
+    for p in _powers(q, z):
+        th *= (1 - z * p) * (1 - p / z)
+        L += -p / (1 - z * p) + p / (z * (z - p))
+    return th, L
+
+
+def _logderiv_d(z, q):
+    """d/dz of theta'(z) / theta(z), term by term."""
+    out = -1 / (1 - z) ** 2
+    for p in _powers(q, z):
+        out += -(p * p) / (1 - z * p) ** 2 - p * (2 * z - p) / (z * z - p * z) ** 2
+    return out
+
+
+def _mp(z):
+    z = complex(z)
+    return mp.mpf(z.real) if z.imag == 0 else mp.mpc(z.real, z.imag)
+
+
+def logderiv(a, q) -> complex:
+    """theta'(a) / theta(a)."""
+    with mp.workdps(DPS):
+        return complex(_theta_L(_mp(a), mp.mpf(q))[1])
+
+
+def zlogderiv_d(a, q) -> complex:
+    """F'(a) for F(z) = z theta'(z)/theta(z), from the term-by-term
+    second derivative series."""
+    with mp.workdps(DPS):
+        a, q = _mp(a), mp.mpf(q)
+        return complex(_theta_L(a, q)[1] + a * _logderiv_d(a, q))
+
+
+def kernel_matrix(xs, gamma, delta, q: float, zeta_plus: float,
+                  zeta_minus: float) -> list[list[complex]]:
+    """The theta kernel K(x, y) for x, y in the real lattice points ``xs``."""
+    with mp.workdps(DPS):
+        q, zp, zm = mp.mpf(q), mp.mpf(zeta_plus), mp.mpf(zeta_minus)
+        g, d = _mp(gamma), _mp(delta)
+        xs = [mp.mpf(x) for x in xs]
+        memo = {}
+
+        def theta_L(z):
+            # theta has real Taylor coefficients: conjugate arguments of a
+            # principal pair reuse each other's sums
+            if z not in memo:
+                zc = mp.conj(z)
+                memo[z] = tuple(map(mp.conj, memo[zc])) if zc in memo else _theta_L(z, q)
+            return memo[z]
+
+        def theta(z):
+            return theta_L(z)[0]
+
+        base = zp * theta(zm / zp)
+        qq = _qpoch(q, q)
+        tg, Lg = zip(*(theta_L(x * g) for x in xs))
+        if g == d:
+            A = (theta(g * zm) ** 2 * theta(g * zp) ** 2
+                 / (base * qq ** 4 * theta(g * g * zm * zp)))
+            sgn = [mp.sign(mp.re(t)) for t in tg]
+
+            def entry(i, j):
+                x, y = xs[i], xs[j]
+                if i == j:
+                    t = x * g
+                    return -A * abs(x) * (Lg[i] + t * _logderiv_d(t, q))
+                return (A * sgn[i] * sgn[j] * mp.sqrt(abs(x * y)) / (x - y)
+                        * (y * Lg[j] - x * Lg[i]))
+        else:
+            C = (theta(g * zm) * theta(g * zp) * theta(d * zm) * theta(d * zp)
+                 * (d - g) / (base * theta(g * d * zm * zp) * g * d
+                              * _qpoch(d / g, q) * _qpoch(g / d, q) * qq ** 2))
+            td, Ld = zip(*(theta_L(x * d) for x in xs))
+            den = [mp.sqrt(a * b) for a, b in zip(tg, td)]
+            P = [mp.sqrt(abs(x)) * b / r for x, b, r in zip(xs, td, den)]
+            Q = [mp.sqrt(abs(x)) * a / r for x, a, r in zip(xs, tg, den)]
+
+            def entry(i, j):
+                if i == j:
+                    return C * abs(xs[i]) * (d * Ld[i] - g * Lg[i])
+                return C * (P[i] * Q[j] - Q[i] * P[j]) / (xs[i] - xs[j])
+
+        n = len(xs)
+        return [[complex(entry(i, j)) for j in range(n)] for i in range(n)]
