@@ -63,15 +63,16 @@ def theta_logderiv_raw(z, q, cut):
     zinv = 1.0 / z
     zinv2 = zinv * zinv
     total = -1.0 / (1.0 - z)
+    scale = max(abs(z), abs(zinv))
     p = q
     i = 0
-    while p > cut:
+    while p * scale > cut:  # as the product loops stop
         total += -p / (1.0 - z * p) + (p * zinv2) / (1.0 - p * zinv)
         p *= q
         i += 1
         if i > _MAX_ITER:
             raise ArithmeticError("theta log-derivative did not converge")
-    return total, p * (abs(zinv2) + 1.0) / (1.0 - q)
+    return total, p * scale * (abs(zinv2) + 1.0) / (1.0 - q)
 
 
 def theta_ratio_dd_raw(a, b, q, cut):
@@ -90,24 +91,28 @@ def theta_ratio_dd_raw(a, b, q, cut):
 
 
 def theta_dd_raw(a, b, c, q, cut):
-    """T = [theta](a, b)/theta(c) and P = theta(b)/theta(c), [theta](a, b) =
-    (theta(a) - theta(b))/(a - b), in one pass over the factors f_i of theta
-    divided by f_i(c): T <- (f_i(a) T + P [f_i]) / f_i(c), with [f_i] = -q^i
-    for 1 - z q^i and q^i/(a b) for 1 - q^i/z.  Nothing cancels as b -> a,
-    and T stays finite where theta(b) = 0.  c must lie off q^Z.
+    """T = [theta](a, b)/theta(c), P = theta(b)/theta(c) and A =
+    theta(a)/theta(c), [theta](a, b) = (theta(a) - theta(b))/(a - b), in one
+    pass over the factors f_i of theta divided by f_i(c): T <- (f_i(a) T +
+    P [f_i]) / f_i(c), with [f_i] = -q^i for 1 - z q^i and q^i/(a b) for
+    1 - q^i/z.  Nothing cancels as b -> a, T stays finite where theta(b) =
+    0, and A does not cancel where theta(a) is far below theta(b).  c must
+    lie off q^Z.
     """
-    T, P = -1.0 / (1.0 - c), (1.0 - b) / (1.0 - c)
+    T, P, A = -1.0 / (1.0 - c), (1.0 - b) / (1.0 - c), (1.0 - a) / (1.0 - c)
     scale = max(abs(a), abs(b), abs(c), 1.0 / abs(a), 1.0 / abs(b), 1.0 / abs(c))
     p = q
     while p * scale > cut:  # as the product loops stop
-        g = 1.0 / (1.0 - c * p)
-        T = ((1.0 - a * p) * T - p * P) * g
+        g, f = 1.0 / (1.0 - c * p), 1.0 - a * p
+        T = (f * T - p * P) * g
         P *= (1.0 - b * p) * g
-        g = 1.0 / (1.0 - p / c)
-        T = ((1.0 - p / a) * T + p / (a * b) * P) * g
+        A *= f * g
+        g, f = 1.0 / (1.0 - p / c), 1.0 - p / a
+        T = (f * T + p / (a * b) * P) * g
         P *= (1.0 - p / b) * g
+        A *= f * g
         p *= q
-    return T, P
+    return T, P, A
 
 
 def zlogderiv_dd_raw(a, b, q, cut):

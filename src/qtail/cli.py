@@ -306,10 +306,14 @@ def _add_common(p):
     p.add_argument("--tol", type=finite_float, default=None, help="relative tolerance")
 
 
-def _add_lattice(p):
-    p.add_argument("--q", type=finite_float, required=True)
+def _add_lattice(p, q=None, required=False, params=("gamma", "delta", "alpha", "beta")):
+    """--q (default ``q``), the anchors and the pair or quadruple ``params``;
+    with ``required``, --q and every one of ``params`` must be given."""
+    p.add_argument("--q", type=finite_float, default=q, required=required)
     p.add_argument("--zeta-plus", dest="zeta_plus", type=finite_float, default=1.0)
     p.add_argument("--zeta-minus", dest="zeta_minus", type=finite_float, default=-1.0)
+    for name in params:
+        p.add_argument(f"--{name}", type=parse_complex, default=None, required=required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,13 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate a kernel")
     pe.add_argument("kind", choices=("basic", "elliptic", "trig", "sine", "fourier"))
-    pe.add_argument("--q", type=finite_float, default=None)
-    pe.add_argument("--zeta-plus", dest="zeta_plus", type=finite_float, default=1.0)
-    pe.add_argument("--zeta-minus", dest="zeta_minus", type=finite_float, default=-1.0)
-    pe.add_argument("--gamma", type=parse_complex, default=None)
-    pe.add_argument("--delta", type=parse_complex, default=None)
-    pe.add_argument("--alpha", type=parse_complex, default=None)
-    pe.add_argument("--beta", type=parse_complex, default=None)
+    _add_lattice(pe)
     pe.add_argument("--x", default=None, help="lattice point '+:k' or '-:k'")
     pe.add_argument("--y", default=None)
     pe.add_argument("--eta", type=finite_float, default=0.0)
@@ -351,13 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan", help="convergence scans")
     ps.add_argument("which", choices=("tail", "trig", "sine"))
-    ps.add_argument("--q", type=finite_float, default=0.5)
-    ps.add_argument("--zeta-plus", dest="zeta_plus", type=finite_float, default=1.0)
-    ps.add_argument("--zeta-minus", dest="zeta_minus", type=finite_float, default=-1.0)
-    ps.add_argument("--gamma", type=parse_complex, default=None)
-    ps.add_argument("--delta", type=parse_complex, default=None)
-    ps.add_argument("--alpha", type=parse_complex, default=None)
-    ps.add_argument("--beta", type=parse_complex, default=None)
+    _add_lattice(ps, q=0.5)
     ps.add_argument("--x", default="+:0")
     ps.add_argument("--y", default="+:1")
     ps.add_argument("--m-max", dest="m_max", type=int, default=40)
@@ -379,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_scan)
 
     pp = sub.add_parser("sample", help="sample the point process on a window")
-    _add_lattice(pp)
-    pp.add_argument("--gamma", type=parse_complex, required=True)
-    pp.add_argument("--delta", type=parse_complex, required=True)
+    _add_lattice(pp, required=True, params=("gamma", "delta"))
     pp.add_argument("--points", required=True,
                     help="comma-separated lattice points, e.g. '+:0,+:1,-:0'")
     pp.add_argument("--seed", type=int, default=0)

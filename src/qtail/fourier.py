@@ -16,21 +16,14 @@ quantifies how closely a computed matrix satisfies that.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
-from .kernels import _CACHE_SIZE, AdmissiblePair, QContext, _PairPlan
-from .qspecial import (
-    DEFAULT_TOL,
-    Tolerance,
-    qpoch_inf,
-    theta,
-    theta_multi,
-)
+from .kernels import AdmissiblePair, QContext, _PairPlan
+from .qspecial import DEFAULT_TOL, Tolerance, theta, theta_multi
 
 __all__ = [
     "Matrix2C",
@@ -75,15 +68,15 @@ def truncation_order(pair: AdmissiblePair, ctx: QContext, tol: float) -> int:
 
 
 def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
-                   tol: Tolerance = DEFAULT_TOL, series_tol: float = 1e-13) -> Matrix2C:
-    """Truncated lattice sum.
+                   tol: Tolerance = DEFAULT_TOL) -> Matrix2C:
+    """Truncated lattice sum, dropping terms below tol.rel_tol / 10.
 
     The gauged kernel is q-shift invariant, so eta enters only through
     e^{i eta m}: the pair plan's lattice coefficients (computed once per
     pair and truncation order) are combined with cos(eta m) and
     e^{i eta m}.
     """
-    M = truncation_order(pair, ctx, series_tol)
+    M = truncation_order(pair, ctx, tol.rel_tol / 10)
     dp, dm, a, pm, mp = _PairPlan.build(pair, ctx, tol).lattice(M)
     m = np.arange(-M, M + 1)
     e = np.exp(1j * eta * m)
@@ -94,33 +87,15 @@ def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
     return Matrix2C(dp + same, complex(e @ pm), complex(e @ mp), dm - same)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _closed_constants(pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> tuple:
-    """The eta-independent factors of ``fourier_closed``: sqrt(gamma delta / q)
-    and the pp, mm and cross prefactors."""
-    q = ctx.q
-    qv = q.q
-    g, d = pair.gamma, pair.delta
-    zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    s = math.sqrt((g * d).real / qv)        # sqrt(gamma delta / q), positive root
-    base = theta_multi([zm / zp, g * d * zm * zp], q, tol).value
-    Theta = theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real
-    sqTheta = math.sqrt(Theta)              # positive root
-    pp = qv * theta_multi([g * zm, d * zm], q, tol).value / (g * d * zp * zp * base)
-    mm = qv * theta_multi([g * zp, d * zp], q, tol).value / (g * d * abs(zm * zp) * base)
-    cross = -qv * sqTheta / (g * d * zp * math.sqrt(abs(zm * zp)) * base)
-    return s, pp, mm, cross
-
-
 def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
                    tol: Tolerance = DEFAULT_TOL) -> Matrix2C:
     """Closed product form: each entry is a ratio of theta products in
-    e^{i eta} times an eta-independent prefactor."""
+    e^{i eta} times an eta-independent prefactor from the pair plan."""
     q = ctx.q
     qv = q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    s, pp_pref, mm_pref, cross_pref = _closed_constants(pair, ctx, tol)
+    s, pp_pref, mm_pref, cross_pref = _PairPlan.build(pair, ctx, tol).closed_prefactors
     e = cmath.exp(1j * eta)
     den = theta_multi([-e * qv * s / g, -e * qv * s / d], q, tol).value
     # q, zeta_+-, s are real, so theta(-e^{-i eta} zeta s) is the conjugate
@@ -134,70 +109,31 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
     return Matrix2C(pp, pm, mp, mm)
 
 
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _lemma_constants(pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> tuple:
-    """The eta-independent factors of ``fourier_lemma_form``, with the
-    plan's B = C (delta - gamma) in place of C: the zeta-side pp and mm
-    terms, B, sqrt(q gamma delta), 1/(gamma delta), delta - gamma, r^2 =
-    zeta_+/|zeta_-|, the zeta-side part of the cross entries' recurrence,
-    their prefactors and theta(gamma zeta_+) theta(delta zeta_-)."""
-    q = ctx.q
-    qv, cut = q.q, tol.cut
-    g, d = pair.gamma, pair.delta
-    zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    B = _PairPlan.build(pair, ctx, tol).B
-    sq = math.sqrt(qv * (g * d).real)       # sqrt(q gamma delta), positive root
-    pp0 = B * zp * zlogderiv_dd_raw(d * zp, g * zp, qv, cut)[0]
-    mm0 = -B * zm * zlogderiv_dd_raw(d * zm, g * zm, qv, cut)[0]
-    sqTheta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real)
-    tprime1 = -(qpoch_inf(qv, q, tol).value ** 2)  # theta'(1)
-    r_pm = math.sqrt(abs(zp / zm))
-    pm_c = -B * r_pm / sqTheta * tprime1 / theta(zp / zm, q, tol).value
-    mp_c = -B / (r_pm * sqTheta) * tprime1 / theta(zm / zp, q, tol).value
-    eps = d - g
-    # theta(delta zeta_+)/theta(gamma zeta_+) = 1 + eps k1 and
-    # theta(gamma zeta_-)/theta(delta zeta_-) = 1 + eps k2
-    k1 = zp * theta_ratio_dd_raw(d * zp, g * zp, qv, cut)[0]
-    k2 = -zm * theta_ratio_dd_raw(g * zm, d * zm, qv, cut)[0]
-    E0 = k1 + k2 * (1.0 + eps * k1)
-    th_gpdm = theta_multi([g * zp, d * zm], q, tol).value
-    return pp0, mm0, B, sq, 1.0 / (g * d), eps, r_pm * r_pm, E0, pm_c, mp_c, th_gpdm
-
-
-# Every cache that holds per-pair work, in kernels.py and here.
-_PAIR_CACHES = (_PairPlan.build, _PairPlan.lattice, _closed_constants, _lemma_constants)
-
-
-def _clear_pair_caches() -> None:
-    """Empty every per-pair cache, as before the first call on any pair."""
-    for cache in _PAIR_CACHES:
-        cache.cache_clear()
-
-
 def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
                        tol: Tolerance = DEFAULT_TOL) -> Matrix2C:
     """Theta log-derivative form of the same matrix (summed term by term
     via the two classical bilateral summation formulas)."""
     qv, cut = ctx.q.q, tol.cut
     g, d = pair.gamma, pair.delta
-    pp0, mm0, B, sq, h, eps, r2, E, pm_c, mp_c, th_gpdm = _lemma_constants(pair, ctx, tol)
+    plan = _PairPlan.build(pair, ctx, tol)
+    pp0, mm0, sq, h, eps, r2, E, pref, th_gpdm = plan.lemma_prefactors
     e = cmath.exp(1j * eta)
     a_g, a_d = -e * sq / g, -e * sq / d
     # the eta terms enter with sign opposite to F(z) = z theta'(z)/theta(z):
     # C (F(a_d) - F(a_g)) = B e sq h [F](a_g, a_d)
-    t = B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv, cut)[0]
-    # pm = -pm_c/B C (X(gamma, delta) - X(delta, gamma)), X(gamma, delta) =
+    t = plan.B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv, cut)[0]
+    # pm = -pref/B C (X(gamma, delta) - X(delta, gamma)), X(gamma, delta) =
     # th_gpdm theta(b_g)/theta(a_g).  E <- E + k (1 + eps E) carries (product
     # - 1)/eps over the factors 1 + eps k of the ratio of the two X but
     # theta(b_d)/theta(b_g), taken as a divided difference: theta(b_g) may be 0.
     k = -e * sq * h * theta_ratio_dd_raw(a_g, a_d, qv, cut)[0]
     E += k * (1.0 + eps * E)
     # [theta](b_d, b_g)/theta(a_g) and theta(b_g)/theta(a_g)
-    dd_b, r_b = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv, cut)
+    dd_b, r_b, _ = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv, cut)
     Z = th_gpdm * (r_b * E - (1.0 + eps * E) * e * r2 * sq * h * dd_b)
     # mp is pm at e^{-i eta} (by theta(z) = theta(q/z)), which for a real
     # pair or one stored with delta = conj(gamma) makes its Z conj(Z).
-    return Matrix2C(pp0 + t, pm_c * Z, mp_c * Z.conjugate(), mm0 - t)
+    return Matrix2C(pp0 + t, pref * Z, pref * Z.conjugate(), mm0 - t)
 
 
 def projection_report(eta: float, pair: AdmissiblePair, ctx: QContext,

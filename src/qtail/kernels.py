@@ -22,11 +22,11 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import logqpoch_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
+from ._core import logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, PoleError, phi21
 from .qspecial import (
     DEFAULT_TOL,
@@ -38,7 +38,6 @@ from .qspecial import (
     qpoch_inf,
     qpoch_multi,
     theta,
-    theta_multi,
 )
 
 __all__ = [
@@ -72,10 +71,12 @@ __all__ = [
 # DomainError there.
 MAX_EXPONENT = 400
 
-# Pairs whose plan (and lattice-sum coefficients per truncation order) are
-# kept; fourier.py bounds its route constants with the same number.  Every
+# Pairs whose plan (with every constant derived from it) is kept.  Every
 # caller works through one pair at a time, so a few entries suffice.
 _CACHE_SIZE = 8
+
+# Node count of the last ring the contour diagonals try.
+_NODE_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -248,70 +249,129 @@ def _sinh_quotient(x: int, s: complex, b: float) -> complex:
     return sign * cmath.exp(A - b) * _expm1(-2.0 * A) / cmath.sinh(s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PairPlan:
-    """Everything the theta-kernel closed forms need from one pair, built
-    once per (pair, ctx, tol) and kept in a bounded cache.
+    """Everything the theta-kernel routes need from one pair, built once per
+    (pair, ctx, tol) and kept in the one bounded cache of per-pair work.
 
     Each closed form is C times a difference that vanishes at gamma = delta,
     where C has its pole.  The plan holds B = C (delta - gamma), smooth
     there, and writes each product as B times a divided difference, so
-    every admissible pair takes one path.  ``lattice`` keeps the arrays
-    that the lattice-sum Fourier route needs.
+    every admissible pair takes one path.  ``build`` evaluates the six log
+    thetas and log (q; q)_inf behind B; every other constant (D for the
+    cross entries, the Fourier routes' prefactors, the lattice-sum
+    coefficients) is derived on first use and kept on the plan, so it
+    leaves the cache with the plan.
     """
 
     pair: AdmissiblePair
     ctx: QContext
     tol: Tolerance
+    lt_gm: complex  # log theta(gamma zeta_-); lt_gp, lt_dm, lt_dp alike
+    lt_gp: complex
+    lt_dm: complex
+    lt_dp: complex
+    lt_zz: complex  # log theta(zeta_- / zeta_+)
+    lt_gdzz: complex  # log theta(gamma delta zeta_- zeta_+)
+    lqq: float  # log (q; q)_inf
     B: complex
     R: float  # sqrt(gamma delta), positive root
     s: complex  # log(gamma / R) = s + i pi kappa, with s -> 0 as delta -> gamma
     flip: int  # (-1)^kappa
     lq: float  # log q
     half_lr: float
-    v: complex  # theta(zeta_- delta) theta(zeta_+ gamma) / |theta4|^(1/2)
-    D: complex  # (u - v) / (delta - gamma), u = v with gamma <-> delta
+    half_theta4: float  # log sqrt(Theta), Theta = theta(gamma zeta_-+, delta zeta_-+) > 0
+    v: complex  # theta(zeta_- delta) theta(zeta_+ gamma) / sqrt(Theta)
+    _lattices: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     @functools.lru_cache(maxsize=_CACHE_SIZE)
     def build(cls, pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> "_PairPlan":
         g, d = pair.gamma, pair.delta
         q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
-        lt_gm = log_theta(g * zm, q, tol)
-        lt_gp = log_theta(g * zp, q, tol)
-        lt_dm = log_theta(d * zm, q, tol)
-        lt_dp = log_theta(d * zp, q, tol)
+        lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz = (
+            log_theta(z, q, tol) for z in (g * zm, g * zp, d * zm, d * zp, zm / zp, g * d * zm * zp))
+        lqq = _log_qpoch(q.q, q, tol).real
         # B = -theta(g zm, g zp, d zm, d zp)
         #     / (zp theta(zm/zp, g d zm zp) (q g/d, q d/g, q, q; q)_inf)
-        logB = (
-            lt_gm + lt_gp + lt_dm + lt_dp
-            + 1j * math.pi
-            - math.log(zp)
-            - log_theta(zm / zp, q, tol)
-            - log_theta(g * d * zm * zp, q, tol)
-        )
+        logB = lt_gm + lt_gp + lt_dm + lt_dp + 1j * math.pi - math.log(zp) - lt_zz - lt_gdzz
         logB -= _log_qpoch(q.q * g / d, q, tol) + _log_qpoch(q.q * d / g, q, tol)
-        logB -= 2.0 * _log_qpoch(q.q, q, tol)
+        logB -= 2.0 * lqq
         half_theta4 = 0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real
         R = math.sqrt((g * d).real)
         # gamma = R e^w and delta = R e^-w; w tends to i pi, not 0, for a
         # negative pair, and to i pi for a principal pair with phi -> pi
         w = cmath.log(g / R)
         kappa = round(w.imag / math.pi)
-        rho_p, _ = theta_ratio_dd_raw(d * zp, g * zp, q.q, tol.cut)
-        rho_m, _ = theta_ratio_dd_raw(d * zm, g * zm, q.q, tol.cut)
         return cls(
-            pair, ctx, tol,
+            pair, ctx, tol, lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz, lqq,
             B=cmath.exp(logB),
             R=R,
             s=w - 1j * math.pi * kappa,
             flip=(-1) ** kappa,
             lq=math.log(q.q),
             half_lr=0.5 * math.log(abs(zp / zm)),
+            half_theta4=half_theta4,
             v=cmath.exp(lt_dm + lt_gp - half_theta4),
-            # theta(d z)/theta(g z) = 1 + (d - g) z rho(d z, g z)
-            D=cmath.exp(lt_gm + lt_gp - half_theta4) * (zp * rho_p - zm * rho_m),
         )
+
+    @functools.cached_property
+    def rho(self) -> tuple[complex, complex]:
+        """rho(delta zeta, gamma zeta) at zeta_+ and at zeta_-."""
+        g, d, qv, cut = self.pair.gamma, self.pair.delta, self.ctx.q.q, self.tol.cut
+        return tuple(theta_ratio_dd_raw(d * zeta, g * zeta, qv, cut)[0]
+                     for zeta in (self.ctx.zeta_plus, self.ctx.zeta_minus))
+
+    @functools.cached_property
+    def D(self) -> complex:
+        """(u - v) / (delta - gamma), u = v with gamma <-> delta, by
+        theta(d z)/theta(g z) = 1 + (d - g) z rho(d z, g z)."""
+        rho_p, rho_m = self.rho
+        return (cmath.exp(self.lt_gm + self.lt_gp - self.half_theta4)
+                * (self.ctx.zeta_plus * rho_p - self.ctx.zeta_minus * rho_m))
+
+    @functools.cached_property
+    def closed_prefactors(self) -> tuple[float, float, float, float]:
+        """The eta-independent factors of ``fourier_closed``: s = sqrt(gamma
+        delta / q) and, with b = theta(zeta_-/zeta_+, gamma delta zeta_-
+        zeta_+), the pp, mm and cross prefactors q theta(gamma zeta_-, delta
+        zeta_-) / (gamma delta zeta_+^2 b), q theta(gamma zeta_+, delta
+        zeta_+) / (gamma delta |zeta_- zeta_+| b) and -q sqrt(Theta) /
+        (gamma delta zeta_+ sqrt|zeta_- zeta_+| b).  Each theta product here
+        is positive, so each factor is the exp of real parts of the logs."""
+        qv, zp, zm = self.ctx.q.q, self.ctx.zeta_plus, self.ctx.zeta_minus
+        gd = (self.pair.gamma * self.pair.delta).real
+        lb = (self.lt_zz + self.lt_gdzz).real
+        f = qv / (gd * zp)
+        return (math.sqrt(gd / qv),
+                f / zp * math.exp((self.lt_gm + self.lt_dm).real - lb),
+                f / abs(zm) * math.exp((self.lt_gp + self.lt_dp).real - lb),
+                -f / math.sqrt(abs(zm * zp)) * math.exp(self.half_theta4 - lb))
+
+    @functools.cached_property
+    def lemma_prefactors(self) -> tuple:
+        """The eta-independent factors of ``fourier_lemma_form``: diag(+1),
+        diag(-1), sqrt(q gamma delta), 1/(gamma delta), eps = delta - gamma,
+        r^2 = zeta_+/|zeta_-|, the zeta-side part E0 of the cross entries'
+        recurrence, their prefactor and theta(gamma zeta_+) theta(delta zeta_-).
+
+        theta(delta zeta_+)/theta(gamma zeta_+) = 1 + eps k1 with k1 =
+        zeta_+ rho_+, and theta(gamma zeta_-)/theta(delta zeta_-) = 1 + eps k2
+        with k2 = -zeta_- rho_- / (1 + eps zeta_- rho_-), as rho(b, a) =
+        rho(a, b) / (1 + (a - b) rho(a, b)).  The pm and mp prefactors -B r
+        theta'(1) / (sqrt(Theta) theta(zeta_+/zeta_-)) and -B theta'(1) / (r
+        sqrt(Theta) theta(zeta_-/zeta_+)), r^2 = zeta_+/|zeta_-|, are equal:
+        theta(zeta_+/zeta_-) = r^2 theta(zeta_-/zeta_+), theta'(1) = -(q; q)^2.
+        """
+        g, d = self.pair.gamma, self.pair.delta
+        zp, zm = self.ctx.zeta_plus, self.ctx.zeta_minus
+        eps, r2 = d - g, abs(zp / zm)
+        rho_p, rho_m = self.rho
+        k1, k2 = zp * rho_p, -zm * rho_m / (1.0 + eps * zm * rho_m)
+        pref = self.B * math.exp(2.0 * self.lqq - self.half_theta4 - self.lt_zz.real) / math.sqrt(r2)
+        return (self.diag(1), self.diag(-1), math.sqrt(self.ctx.q.q * (g * d).real),
+                1.0 / (g * d), eps, r2, k1 + k2 * (1.0 + eps * k1), pref,
+                cmath.exp(self.lt_gp + self.lt_dm))
 
     def same(self, x: int) -> complex:
         """C sinh(x w) / sinh(x log(q) / 2), x != 0, the same-branch closed
@@ -340,24 +400,26 @@ class _PairPlan:
         dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q, self.tol.cut)
         return sign * self.B * zeta * dd
 
-    @functools.lru_cache(maxsize=_CACHE_SIZE)
     def lattice(self, M: int) -> tuple:
         """The eta-independent coefficients of the lattice sum truncated at
-        |m| <= M, computed once per (plan, M) from the methods above:
+        |m| <= M, computed once per M from the methods above and kept on
+        the plan:
 
         (diag(+1), diag(-1), a, pm, mp) with a[m-1] = (-1)^m same(m) for
         m = 1..M, pm[m+M] = cross(m, 0) and mp[m+M] = (-1)^m cross(0, m)
         for m = -M..M.  The arrays are read-only.
         """
-        ms = range(-M, M + 1)
-        a = np.array([(-1) ** m * self.same(m) for m in range(1, M + 1)], dtype=complex)
-        pm = np.array([self.cross(m, 0) for m in ms], dtype=complex)
-        mp = np.array([(-1) ** m * self.cross(0, m) for m in ms], dtype=complex)
-        for arr in (a, pm, mp):
-            if not np.all(np.isfinite(arr)):
-                raise OverflowError("lattice-sum coefficient leaves double range")
-            arr.setflags(write=False)
-        return self.diag(1), self.diag(-1), a, pm, mp
+        if M not in self._lattices:
+            ms = range(-M, M + 1)
+            a = np.array([(-1) ** m * self.same(m) for m in range(1, M + 1)], dtype=complex)
+            pm = np.array([self.cross(m, 0) for m in ms], dtype=complex)
+            mp = np.array([(-1) ** m * self.cross(0, m) for m in ms], dtype=complex)
+            for arr in (a, pm, mp):
+                if not np.all(np.isfinite(arr)):
+                    raise OverflowError("lattice-sum coefficient leaves double range")
+                arr.setflags(write=False)
+            self._lattices[M] = self.diag(1), self.diag(-1), a, pm, mp
+        return self._lattices[M]
 
 
 def log_C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
@@ -459,7 +521,7 @@ def _sing_distance(x: float, params, ctx: QContext) -> float:
 
 
 def _diag_contour(x: float, eps: float, integrand, pref: complex,
-                  tol: Tolerance, max_nodes: int) -> EvalResult:
+                  tol: Tolerance) -> EvalResult:
     """Trapezoid rule for a kernel diagonal on the circle |z - x| = eps.
 
     ``integrand(z)`` returns (log(w(z)/w(x)), numerator(z)) for the
@@ -468,7 +530,7 @@ def _diag_contour(x: float, eps: float, integrand, pref: complex,
     disk, so the ratio has zero winding and is 1 at the real starting node;
     the imaginary part of its log is unwrapped node to node around the
     circle so the square root never jumps branches.  The node count doubles
-    from 64 until two rings agree to 1e-10; past ``max_nodes`` the last
+    from 64 until two rings agree to 1e-10; past ``_NODE_LIMIT`` the last
     ring is returned.  Ring 2n holds ring n's nodes at its even indices
     (the phases are bitwise equal), so each ring evaluates ``integrand``
     only at its new odd nodes.
@@ -492,7 +554,7 @@ def _diag_contour(x: float, eps: float, integrand, pref: complex,
     nodes = []
     prev = None
     n = 64
-    while n <= max_nodes:
+    while n <= _NODE_LIMIT:
         if nodes:
             odd = [node(j, n) for j in range(1, n, 2)]
             nodes = [nd for both in zip(nodes, odd) for nd in both]
@@ -507,28 +569,29 @@ def _diag_contour(x: float, eps: float, integrand, pref: complex,
 
 
 def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
-                          tol: Tolerance = DEFAULT_TOL, max_nodes: int = 512) -> EvalResult:
+                          tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """Diagonal of the theta kernel by the contour integral around x.
 
     Independent of the closed_diag route; used as a cross-check.  The
-    weight is u(z) = sign * z / (theta(z gamma) theta(z delta)).
+    weight is u(z) = sign * z / (theta(z gamma) theta(z delta)).  The
+    numerator C (theta(z delta) theta(x gamma) - theta(z gamma) theta(x
+    delta)) is B (z theta(x gamma) [theta](z delta, z gamma) - x theta(z
+    gamma) [theta](x delta, x gamma)), with every theta taken relative to
+    theta(x gamma) by ``theta_dd_raw``, so gamma = delta takes the same path.
     """
     xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
     sign = 1.0 if xv > 0 else -1.0
     eps = 0.5 * _sing_distance(xv, pair, ctx)
     g, d = pair.gamma, pair.delta
-    q = ctx.q
-    C = C_elliptic(pair, ctx, tol).value
-    thxg = theta(xv * g, q, tol).value
-    thxd = theta(xv * d, q, tol).value
-    ux = sign * xv / (thxg * thxd)
+    qv, cut, c = ctx.q.q, tol.cut, xv * g
+    tx, _, rx = theta_dd_raw(xv * d, c, c, qv, cut)  # rx = theta(x delta) / theta(x gamma)
 
     def integrand(z: complex) -> tuple[complex, complex]:
-        thg = theta(z * g, q, tol).value
-        thd = theta(z * d, q, tol).value
-        return cmath.log(sign * z / (thg * thd) / ux), thd * thxg - thg * thxd
+        t, pg, pd = theta_dd_raw(z * d, z * g, c, qv, cut)
+        return cmath.log(z * rx / (xv * pg * pd)), z * t - xv * pg * tx
 
-    return _diag_contour(xv, eps, integrand, C * ux, tol, max_nodes)
+    B = _PairPlan.build(pair, ctx, tol).B
+    return _diag_contour(xv, eps, integrand, B * sign * xv / rx, tol)
 
 
 def gauge_eps(x: LatticePoint) -> int:
@@ -573,14 +636,17 @@ def hat_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QCon
 
 
 def frak_C(quad: AdmissibleQuadruple, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """Normalizing constant of the four-parameter kernel."""
+    """Normalizing constant of the four-parameter kernel, -B (q gamma/delta,
+    q delta/gamma, alpha beta/(gamma delta), alpha beta/(q gamma delta);
+    q)_inf / (alpha/gamma, alpha/delta, beta/gamma, beta/delta; q)_inf with
+    B = C (delta - gamma) of the theta kernel's pair (gamma, delta), whose
+    theta part the pair plan keeps in log space."""
     a, b, g, d = quad.alpha, quad.beta, quad.gamma, quad.delta
-    q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
-    num_theta = theta_multi([g * zm, g * zp, d * zm, d * zp], q, tol).value
-    den_theta = zp * theta_multi([zm / zp, g * d * zm * zp], q, tol).value
-    num_p = qpoch_multi([a * b / (g * d), a * b / (q.q * g * d)], q, tol).value
-    den_p = qpoch_multi([a / g, a / d, b / g, b / d, q.q, q.q], q, tol).value
-    return _wrap(num_theta / den_theta * num_p / den_p, tol)
+    q = ctx.q
+    B = _PairPlan.build(quad.pair, ctx, tol).B
+    num = qpoch_multi([q.q * g / d, q.q * d / g, a * b / (g * d), a * b / (q.q * g * d)], q, tol)
+    den = qpoch_multi([a / g, a / d, b / g, b / d], q, tol)
+    return _wrap(-B * num.value / den.value, tol)
 
 
 def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext, sign: float,
@@ -690,7 +756,7 @@ def basic_kernel(x, y, quad: AdmissibleQuadruple, ctx: QContext,
 
 
 def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
-                tol: Tolerance, max_nodes: int = 512) -> EvalResult:
+                tol: Tolerance) -> EvalResult:
     """Diagonal value by the contour integral around x.
 
     The integrand is analytic in the punctured disk around x, so the
@@ -711,4 +777,4 @@ def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
         return (_log_weight(z, quad, ctx, sign, tol) - lw_x,
                 (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s))
 
-    return _diag_contour(x, eps, integrand, c * amp, tol, max_nodes)
+    return _diag_contour(x, eps, integrand, c * amp, tol)

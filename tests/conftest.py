@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qtail import QContext, QParam, validate_pair, validate_quadruple
-from qtail.fourier import _clear_pair_caches
+from qtail.kernels import _PairPlan
 
 Q_REF = 0.5
 ZP_REF = 1.3
@@ -44,6 +44,7 @@ def rng():
 
 @pytest.fixture
 def cold_caches():
-    """Empty every per-pair cache; returns a function that empties them again."""
-    _clear_pair_caches()
-    return _clear_pair_caches
+    """Empty the cache of pair plans, which holds all per-pair work; returns
+    a function that empties it again."""
+    _PairPlan.build.cache_clear()
+    return _PairPlan.build.cache_clear

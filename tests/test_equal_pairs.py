@@ -15,6 +15,7 @@ from qtail import (
     QParam,
     SampleConfig,
     Window,
+    closed_diag,
     correlation,
     elliptic_diag_contour,
     elliptic_kernel,
@@ -132,12 +133,24 @@ def test_sampler_at_gamma_equals_delta():
 def test_constant_raises_at_its_pole():
     ctx, make = SERIES["plus"]
     pair = validate_pair(*make(0.0), ctx)
-    for call in (lambda: C_elliptic(pair, ctx), lambda: log_C_elliptic(pair, ctx),
-                 lambda: elliptic_diag_contour(ctx.point(1, 0), pair, ctx)):
+    for call in (lambda: C_elliptic(pair, ctx), lambda: log_C_elliptic(pair, ctx)):
         with pytest.raises(DomainError):
             call()
+    # the contour cross-check carries B, not C, so it holds at the pole too
+    x = ctx.point(1, 0)
+    assert abs(elliptic_diag_contour(x, pair, ctx).value - closed_diag(1, pair, ctx).value) <= 1e-10
     near = validate_pair(*make(1e-12), ctx)
     assert math.isfinite(abs(C_elliptic(near, ctx).value))
+
+
+@pytest.mark.parametrize("name", SERIES)
+def test_contour_diagonal_through_gamma_equals_delta(name):
+    ctx, make = SERIES[name]
+    for eps in (1e-6, 1e-10, 1e-12, 1e-14, 0.0):
+        pair = validate_pair(*make(eps), ctx)
+        for sign in (1, -1):
+            cont = elliptic_diag_contour(ctx.point(sign, 0), pair, ctx).value
+            assert abs(cont - closed_diag(sign, pair, ctx).value) <= 1e-10, (name, eps, sign)
 
 
 @pytest.mark.parametrize("a", [0.7, 0.31 + 0.4j, -1.6, 2.3 - 0.8j])
@@ -146,9 +159,8 @@ def test_divided_differences_at_a_equal_b(a):
     rho, _ = theta_ratio_dd_raw(a, a, q.q, DEFAULT_TOL.cut)
     want = theta_reference.logderiv(a, q.q)
     assert abs(rho - want) <= 1e-14 * abs(want)
-    # theta_logderiv itself is 1.1e-14 off the reference at a = 0.7
     assert abs(rho - theta_logderiv(a, q)) <= 3e-14 * abs(want)
-    T, P = theta_dd_raw(a, a, 0.45 - 0.2j, q.q, DEFAULT_TOL.cut)
+    T, P, _ = theta_dd_raw(a, a, 0.45 - 0.2j, q.q, DEFAULT_TOL.cut)
     assert abs(T / P - want) <= 1e-14 * abs(want)
     F, _ = zlogderiv_dd_raw(a, a, q.q, DEFAULT_TOL.cut)
     want = theta_reference.zlogderiv_d(a, q.q)

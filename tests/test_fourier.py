@@ -2,7 +2,9 @@
 projection structure, and the truncation-order estimate."""
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,10 @@ from qtail import (
     QContext,
     QParam,
     Tolerance,
+    closed_diag,
+    closed_mm,
+    closed_pm,
+    closed_pp,
     fourier_closed,
     fourier_lemma_form,
     fourier_series,
@@ -20,8 +26,9 @@ from qtail import (
     tilde_kernel,
     validate_pair,
 )
-from qtail import fourier, qspecial
-from qtail.fourier import _PAIR_CACHES, _closed_constants, _lemma_constants, truncation_order
+from qtail import fourier, kernels, qspecial
+from qtail._core import theta_ratio_dd_raw
+from qtail.fourier import truncation_order
 from qtail.kernels import _CACHE_SIZE, C_elliptic, _PairPlan
 from qtail.qspecial import qpoch_inf, theta, theta_logderiv, theta_multi
 from qtail.verify import draw_context, draw_pair
@@ -112,7 +119,7 @@ def _closed_ten_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
     q, qv = ctx.q, ctx.q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    s, pp_pref, mm_pref, cross_pref = _closed_constants(pair, ctx, tol)
+    s, pp_pref, mm_pref, cross_pref = _PairPlan.build(pair, ctx, tol).closed_prefactors
     e, ec = cmath.exp(1j * eta), cmath.exp(-1j * eta)
     den = theta_multi([-e * qv * s / g, -e * qv * s / d], q, tol).value
     return np.array([
@@ -186,7 +193,10 @@ class TestDistinctThetas:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("route,per_eta", [(fourier_closed, 4), (fourier_lemma_form, 0)])
-    def test_thetas_per_eta(self, monkeypatch, ctx, pairs, route, per_eta):
+    def test_thetas_per_eta(self, monkeypatch, ctx, pairs, route, per_eta, cold_caches):
+        """Once the plan is built, every call, the first included, makes only
+        its per-eta theta calls: the eta-independent factors come from the
+        plan's logs."""
         calls = []
 
         def counting(z, q, tol=DEFAULT_TOL):
@@ -197,14 +207,59 @@ class TestDistinctThetas:
         monkeypatch.setattr(fourier, "theta", counting)
         etas = (0.3, -2.2, math.pi)
         for p in pairs:
-            route(0.0, p, ctx)              # builds the eta-independent constants
+            _PairPlan.build(p, ctx, DEFAULT_TOL)
             calls.clear()
             for eta in etas:
                 route(eta, p, ctx)
             assert len(calls) == per_eta * len(etas)
 
 
+class TestPlanConstants:
+    """The Fourier routes' eta-independent factors, derived from the plan's
+    logs, against the theta products they stand for."""
+
+    @pytest.fixture
+    def pairs(self, ctx, pair, principal_pair):
+        return [pair, principal_pair, validate_pair(0.31 / ctx.zeta_minus, 0.44 / ctx.zeta_minus, ctx),
+                validate_pair(GAMMA_REF, GAMMA_REF, ctx)]
+
+    def test_closed_prefactors(self, ctx, pairs):
+        q, qv = ctx.q, ctx.q.q
+        zp, zm = ctx.zeta_plus, ctx.zeta_minus
+        for p in pairs:
+            g, d = p.gamma, p.delta
+            base = theta_multi([zm / zp, g * d * zm * zp], q).value
+            sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
+            want = (math.sqrt((g * d).real / qv),
+                    qv * theta_multi([g * zm, d * zm], q).value / (g * d * zp * zp * base),
+                    qv * theta_multi([g * zp, d * zp], q).value / (g * d * abs(zm * zp) * base),
+                    -qv * sq_theta / (g * d * zp * math.sqrt(abs(zm * zp)) * base))
+            got = _PairPlan.build(p, ctx, DEFAULT_TOL).closed_prefactors
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-13 * abs(b)
+
+    def test_lemma_cross_prefactors(self, ctx, pairs):
+        """pm and mp share -B r theta'(1) / (sqrt(Theta) theta(zeta_+/zeta_-))."""
+        q = ctx.q
+        zp, zm = ctx.zeta_plus, ctx.zeta_minus
+        for p in pairs:
+            g, d = p.gamma, p.delta
+            plan = _PairPlan.build(p, ctx, DEFAULT_TOL)
+            *_, pref, th_gpdm = plan.lemma_prefactors
+            sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
+            tprime1 = -(qpoch_inf(q.q, q).value ** 2)
+            r = math.sqrt(abs(zp / zm))
+            for want in (-plan.B * r / sq_theta * tprime1 / theta(zp / zm, q).value,
+                         -plan.B / (r * sq_theta) * tprime1 / theta(zm / zp, q).value):
+                assert abs(pref - want) <= 1e-14 * abs(want)
+            want = theta_multi([g * zp, d * zm], q).value
+            assert abs(th_gpdm - want) <= 1e-14 * abs(want)
+
+
 class TestRouteCaches:
+    """All per-pair work lives on the pair plan, behind the one cache of
+    ``_PairPlan.build``."""
+
     ROUTES = (fourier_series, fourier_closed, fourier_lemma_form)
 
     def test_second_call_repeats_first_bitwise(self, ctx, pair, principal_pair, cold_caches):
@@ -216,33 +271,64 @@ class TestRouteCaches:
 
         first = calls()
         assert calls() == first
+        cold_caches()
+        assert calls() == first
 
-    def test_context_tolerance_and_series_tol_are_part_of_the_key(self, ctx, pair, cold_caches):
+    def test_context_and_tolerance_are_part_of_the_key(self, ctx, pair, cold_caches):
         ctx2 = QContext(QParam(0.5), 1.3, -0.6)
         tol2 = Tolerance(rel_tol=1e-10)
-        for c, t in ((ctx, DEFAULT_TOL), (ctx2, DEFAULT_TOL), (ctx, tol2)):
+        keys = ((ctx, DEFAULT_TOL), (ctx2, DEFAULT_TOL), (ctx, tol2))
+        for c, t in keys:
             for route in self.ROUTES:
                 route(0.7, pair, c, t)
-        fourier_series(0.7, pair, ctx, series_tol=1e-8)
-        for cache in (_PairPlan.build, _closed_constants, _lemma_constants):
-            assert cache.cache_info().currsize == 3
-        # two truncation orders for the first plan, one for each other plan
-        assert truncation_order(pair, ctx, 1e-8) != truncation_order(pair, ctx, 1e-13)
-        assert _PairPlan.lattice.cache_info().currsize == 4
-        assert (_closed_constants(pair, ctx, DEFAULT_TOL)
-                != _closed_constants(pair, ctx2, DEFAULT_TOL))
+        assert _PairPlan.build.cache_info().currsize == 3
+        plans = [_PairPlan.build(pair, c, t) for c, t in keys]
+        assert _PairPlan.build.cache_info().currsize == 3
+        assert plans[0].closed_prefactors != plans[1].closed_prefactors
+        # the looser tolerance truncates the lattice sum earlier
+        assert [len(p._lattices) for p in plans] == [1, 1, 1]
+        assert set(plans[0]._lattices) != set(plans[2]._lattices)
 
     def test_size_stays_within_bound(self, ctx, cold_caches):
-        for cache in _PAIR_CACHES:
-            assert cache.cache_info().maxsize == _CACHE_SIZE
+        assert _PairPlan.build.cache_info().maxsize == _CACHE_SIZE == 8
         for i in range(_CACHE_SIZE + 4):
             pair = validate_pair(GAMMA_REF * (1.0 + 0.01 * i), DELTA_REF, ctx)
             for route in self.ROUTES:
                 route(0.7, pair, ctx)
-            for cache in _PAIR_CACHES:
-                assert cache.cache_info().currsize <= _CACHE_SIZE
-        for cache in _PAIR_CACHES:
-            assert cache.cache_info().currsize == _CACHE_SIZE
+            assert _PairPlan.build.cache_info().currsize == min(i + 1, _CACHE_SIZE)
+
+    def test_evicted_plan_is_freed_with_its_constants(self, ctx, pair, cold_caches):
+        for route in self.ROUTES:
+            route(0.7, pair, ctx)
+        plan = _PairPlan.build(pair, ctx, DEFAULT_TOL)
+        assert {"closed_prefactors", "lemma_prefactors", "D"} <= set(vars(plan))
+        (_, _, a, pm, mp), = plan._lattices.values()
+        refs = [weakref.ref(obj) for obj in (plan, a, pm, mp)]
+        del plan, a, pm, mp
+        for i in range(1, _CACHE_SIZE + 1):
+            fourier_series(0.7, validate_pair(GAMMA_REF * (1.0 + 0.01 * i), DELTA_REF, ctx), ctx)
+        gc.collect()
+        assert [r() for r in refs] == [None] * 4
+
+
+class TestPlanLaziness:
+    def test_diagonal_and_same_branch_entries_run_no_rho_loop(self, monkeypatch, ctx, pair,
+                                                            cold_caches):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return theta_ratio_dd_raw(*args)
+
+        monkeypatch.setattr(kernels, "theta_ratio_dd_raw", counting)
+        for sign in (1, -1):
+            closed_diag(sign, pair, ctx)
+        closed_pp(2, -1, pair, ctx)
+        closed_mm(0, 3, pair, ctx)
+        assert calls == []
+        closed_pm(1, 0, pair, ctx)
+        closed_pm(-2, 4, pair, ctx)
+        assert len(calls) == 2
 
 
 class TestProjection:

@@ -23,6 +23,7 @@ from qtail import (
     closed_pp,
     elliptic_diag_contour,
     elliptic_kernel,
+    frak_C,
     frak_F,
     frak_F_transformed,
     gauge_eps,
@@ -32,7 +33,7 @@ from qtail import (
     validate_pair,
     validate_quadruple,
 )
-from qtail.kernels import C_elliptic, _PairPlan, _diag_contour, _elliptic_direct
+from qtail.kernels import _NODE_LIMIT, C_elliptic, _PairPlan, _diag_contour, _elliptic_direct
 
 import theta_reference
 from conftest import DELTA_REF, GAMMA_REF
@@ -216,6 +217,18 @@ class TestEllipticClosedForms:
             closed = closed_diag(sign, pair, ctx).value
             assert abs(cont - closed) <= 1e-10 * max(1.0, abs(closed))
 
+    def test_contour_diag_matches_closed_at_high_q(self):
+        """Where theta(z delta) is far below theta(z gamma) on the circle, the
+        contour takes it from its own accumulator, not as theta(z gamma) +
+        z (delta - gamma) [theta](z delta, z gamma), which cancels."""
+        ctx = QContext(QParam(0.9), 1.0, -1.0)
+        g = 0.8 * cmath.exp(1.1j)
+        pair = validate_pair(g, g.conjugate(), ctx)
+        x = ctx.point(1, 2)
+        cont = elliptic_diag_contour(x, pair, ctx).value
+        closed = closed_diag(1, pair, ctx).value
+        assert abs(cont - closed) <= 1e-10 * max(1.0, abs(closed))
+
     def test_principal_pair_values_real_on_lattice(self, ctx, principal_pair):
         for (sx, kx), (sy, ky) in [((1, 0), (1, 1)), ((1, 0), (-1, 0)), ((-1, 1), (-1, -1))]:
             v = elliptic_kernel(ctx.point(sx, kx), ctx.point(sy, ky),
@@ -274,6 +287,17 @@ class TestGauges:
 
 
 class TestBasicKernel:
+    def test_constant_matches_reference(self, ctx, quad, principal_pair):
+        g = principal_pair.gamma
+        quads = [quad,
+                 validate_quadruple(0.4 * g, 0.4 * g.conjugate(), g, g.conjugate(), ctx),
+                 validate_quadruple(GAMMA_REF / 8, DELTA_REF / 8, g, g.conjugate(), ctx),
+                 validate_quadruple(0.1 * g, 0.1 * g.conjugate(), GAMMA_REF, GAMMA_REF, ctx)]
+        for qd in quads:
+            want = theta_reference.frak_C(qd.alpha, qd.beta, qd.gamma, qd.delta, ctx.q.q,
+                                          ctx.zeta_plus, ctx.zeta_minus)
+            assert abs(frak_C(qd, ctx).value - want) <= 1e-13 * abs(want)
+
     def test_building_function_two_routes_agree(self, ctx, quad):
         for x in (1.3 * 0.5 ** 2, -0.55 * 0.5, 1.3 * 0.5 ** 5):
             for r in (0, 1):
@@ -310,11 +334,11 @@ class TestBasicKernel:
         assert abs(deep - target) < 1e-5
 
 
-def _ring_by_ring(x, eps, integrand, pref, max_nodes):
+def _ring_by_ring(x, eps, integrand, pref):
     """The contour diagonal with every ring evaluated at all of its nodes."""
     prev = None
     n = 64
-    while n <= max_nodes:
+    while n <= _NODE_LIMIT:
         acc = 0.0 + 0.0j
         prev_im = 0.0
         for j in range(n):
@@ -350,18 +374,18 @@ class TestDiagContour:
     def test_each_node_is_evaluated_once(self):
         # sqrt(w(z)/w(x)) = z/x, so the integral is pref d/dz (z/x) = pref/x
         integrand, calls = self._integrand(lambda z: 1.0)
-        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL, 512).value
+        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL).value
         assert len(calls) == 128
-        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF, 512)
+        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
         assert abs(got - self.PREF / self.X) < 1e-14
 
     def test_unconverged_rings_reuse_nodes(self):
         # |z - x - eps| is not analytic, so no two rings agree to 1e-10
         integrand, calls = self._integrand(lambda z: abs(z - self.X - self.EPS))
-        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL, 512).value
-        assert len(calls) == 512
-        assert len(set(calls)) == 512
-        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF, 512)
+        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL).value
+        assert len(calls) == _NODE_LIMIT
+        assert len(set(calls)) == _NODE_LIMIT
+        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
 
 
 class TestPairPlanCache:

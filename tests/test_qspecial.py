@@ -28,6 +28,8 @@ from qtail import (
     theta_multi,
 )
 
+import theta_reference
+
 
 def brute_qpoch(z, q, n=300):
     out = 1.0 + 0.0j
@@ -197,6 +199,14 @@ class TestThetaDeriv:
         z = 0.77 + 0.31j
         assert theta_logderiv(z, q) == pytest.approx(
             theta_deriv(z, q).value / theta(z, q).value, rel=1e-11)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("z", [0.7, 0.05, 0.5 ** 10.3, 3.1 + 0.4j, 0.3 - 0.8j])
+    def test_logderiv_matches_reference(self, q, z):
+        """The series runs until every factor is 1 to within the cut, also
+        far from |z| = 1."""
+        want = theta_reference.logderiv(z, q)
+        assert abs(theta_logderiv(z, QParam(q)) - want) <= 5e-14 * abs(want)
 
     def test_logderiv_rejects_zero_locus(self):
         with pytest.raises(DomainError):

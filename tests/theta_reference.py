@@ -79,6 +79,32 @@ def zlogderiv_d(a, q) -> complex:
         return complex(_theta_L(a, q)[1] + a * _logderiv_d(a, q))
 
 
+def frak_C(alpha, beta, gamma, delta, q: float, zeta_plus: float, zeta_minus: float) -> complex:
+    """The four-parameter kernel's constant as a product of thetas and
+    q-Pochhammer symbols:
+
+        theta(gamma zeta_-+, delta zeta_-+) (ab/(gamma delta), ab/(q gamma delta); q)_inf
+        / (zeta_+ theta(zeta_-/zeta_+, gamma delta zeta_- zeta_+)
+           (alpha/gamma, alpha/delta, beta/gamma, beta/delta, q, q; q)_inf),
+
+    ab = alpha beta."""
+    with mp.workdps(DPS):
+        q, zp, zm = mp.mpf(q), mp.mpf(zeta_plus), mp.mpf(zeta_minus)
+        a, b, g, d = (_mp(v) for v in (alpha, beta, gamma, delta))
+
+        def theta(z):
+            return _theta_L(z, q)[0]
+
+        def qpoch(*zs):
+            return mp.fprod(_qpoch(z, q) for z in zs)
+
+        num = theta(g * zm) * theta(g * zp) * theta(d * zm) * theta(d * zp)
+        num *= qpoch(a * b / (g * d), a * b / (q * g * d))
+        den = zp * theta(zm / zp) * theta(g * d * zm * zp)
+        den *= qpoch(a / g, a / d, b / g, b / d, q, q)
+        return complex(num / den)
+
+
 def kernel_matrix(xs, gamma, delta, q: float, zeta_plus: float,
                   zeta_minus: float) -> list[list[complex]]:
     """The theta kernel K(x, y) for x, y in the real lattice points ``xs``."""
