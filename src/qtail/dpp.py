@@ -4,7 +4,8 @@ A kernel restricted to a finite window of lattice points gives a Hermitian
 matrix with eigenvalues in [0, 1]; ``correlation`` evaluates determinantal
 correlation functions, ``sample_window`` draws exact samples by the
 eigendecomposition method (select eigenvectors by independent Bernoulli
-trials, then sample the resulting projection process point by point), and
+trials, then sample the resulting projection process point by point,
+conditioning its kernel on each drawn point by a rank-one Schur update), and
 ``exact_outcome_probabilities`` gives the probability of every outcome of
 a small window, one determinant per outcome, as an independent oracle.
 
@@ -110,6 +111,12 @@ def _validated_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sample_window(window: Window, kernel: Kernel, cfg: SampleConfig) -> list[tuple[int, ...]]:
     """Exact samples of the determinantal process on the window.
 
+    Each draw keeps eigenvector j with probability lambda_j and forms the
+    projection P onto the kept ones.  It then draws k = rank P points: point
+    i with probability P_ii / (number left), after which P <- P - P[:, i]
+    P[i, :] / P_ii, the kernel of the projection process conditioned on a
+    point at i.  A pivot P_ii near 0 is drawn with probability near 0.
+
     Returns, per sample, the sorted tuple of selected point indices.
     """
     K = kernel_matrix(window.points, kernel)
@@ -119,26 +126,14 @@ def sample_window(window: Window, kernel: Kernel, cfg: SampleConfig) -> list[tup
     for s in range(cfg.n_samples):
         rng = np.random.default_rng([cfg.seed, s])
         keep = rng.random(lam.shape[0]) < lam
-        B = V[:, keep]  # columns: orthonormal selected eigenvectors
+        P = V[:, keep] @ V[:, keep].conj().T  # projection onto the selected eigenvectors
         chosen: list[int] = []
-        while B.shape[1] > 0:
-            k = B.shape[1]
-            probs = np.sum(np.abs(B) ** 2, axis=1).real / k
-            probs = np.clip(probs, 0.0, None)
-            probs /= probs.sum()
-            i = int(rng.choice(n, p=probs))
+        for _ in range(int(keep.sum())):
+            probs = np.clip(P.diagonal().real, 0.0, None)
+            i = int(rng.choice(n, p=probs / probs.sum()))
             chosen.append(i)
-            # restrict the span to vectors vanishing at point i
-            row = B[i, :]
-            j0 = int(np.argmax(np.abs(row)))
-            piv = B[:, j0].copy()
-            pr = row[j0]
-            B = np.delete(B, j0, axis=1)
-            B = B - np.outer(piv, B[i, :] / pr)
-            # re-orthonormalize for numerical stability
-            if B.shape[1] > 0:
-                Q, _ = np.linalg.qr(B)
-                B = Q
+            # condition on a point at i: Schur complement of the pivot P_ii
+            P = P - np.outer(P[:, i], P[i, :] / P[i, i])
         out.append(tuple(sorted(chosen)))
     return out
 

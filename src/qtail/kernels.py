@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._core import logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
-from .qhyper import DegeneracyError, Phi21Params, PoleError, phi21
+from .qhyper import DegeneracyError, Phi21Params, phi21
 from .qspecial import (
     DEFAULT_TOL,
     DomainError,
@@ -699,11 +699,7 @@ def _h_transformed(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext,
 
 def _h(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext, tol: Tolerance) -> complex:
     small = abs(z) < ctx.q.q ** 3 * min(ctx.zeta_plus, -ctx.zeta_minus)
-    first, second = (_h_transformed, _h_direct) if small else (_h_direct, _h_transformed)
-    try:
-        return first(z, r, quad, ctx, tol)
-    except (PoleError, DegeneracyError, ZeroDivisionError):
-        return second(z, r, quad, ctx, tol)
+    return (_h_transformed if small else _h_direct)(z, r, quad, ctx, tol)
 
 
 def _sqrt_weight_real(x: float, quad: AdmissibleQuadruple, ctx: QContext,

@@ -26,7 +26,6 @@ from .kernels import (
     basic_kernel,
     elliptic_kernel,
     hat_kernel,
-    tilde_kernel,
     validate_pair,
     validate_quadruple,
 )

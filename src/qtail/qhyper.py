@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 from ._core import phi21_raw
-from .qspecial import DEFAULT_TOL, DomainError, EvalResult, QParam, Tolerance, qpoch_multi
+from .qspecial import (ABS_FLOOR, DEFAULT_TOL, DomainError, EvalResult, QParam, Tolerance,
+                       qpoch_multi)
 
 __all__ = [
     "Phi21Params",
@@ -133,9 +134,9 @@ def heine_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalR
         inner = phi21(Phi21Params(C / B, z, A * z, q), B, tol)
     val = num.value / den.value * inner.value
     rel = (
-        num.abs_error_bound / max(abs(num.value), tol.abs_floor)
-        + den.abs_error_bound / max(abs(den.value), tol.abs_floor)
-        + inner.abs_error_bound / max(abs(inner.value), tol.abs_floor)
+        num.abs_error_bound / max(abs(num.value), ABS_FLOOR)
+        + den.abs_error_bound / max(abs(den.value), ABS_FLOOR)
+        + inner.abs_error_bound / max(abs(inner.value), ABS_FLOOR)
     )
     return EvalResult(val, abs(val) * rel)
 
@@ -177,9 +178,9 @@ def watson_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> Eval
         inner = phi21(Phi21Params(A, A * q.q / C, A * q.q / B, q), C * q.q / (A * B * z), tol)
         val = num.value / den.value * inner.value
         rel = (
-            num.abs_error_bound / max(abs(num.value), tol.abs_floor)
-            + den.abs_error_bound / max(abs(den.value), tol.abs_floor)
-            + inner.abs_error_bound / max(abs(inner.value), tol.abs_floor)
+            num.abs_error_bound / max(abs(num.value), ABS_FLOOR)
+            + den.abs_error_bound / max(abs(den.value), ABS_FLOOR)
+            + inner.abs_error_bound / max(abs(inner.value), ABS_FLOOR)
         )
         return val, abs(val) * rel
 

@@ -38,6 +38,7 @@ __all__ = [
 
 PI2 = math.pi * math.pi
 TWO_PI_I = 2j * math.pi
+ABS_FLOOR = 1e-300  # smallest magnitude a relative error bound divides by
 
 
 class DomainError(ValueError):
@@ -65,7 +66,6 @@ class QParam:
 @dataclass(frozen=True)
 class Tolerance:
     rel_tol: float = 1e-12
-    abs_floor: float = 1e-300
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
@@ -108,7 +108,7 @@ def qpoch_multi(zs, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     for z in zs:
         r = qpoch_inf(z, q, tol)
         prod *= r.value
-        rel += r.abs_error_bound / max(abs(r.value), tol.abs_floor)
+        rel += r.abs_error_bound / max(abs(r.value), ABS_FLOOR)
     return EvalResult(prod, abs(prod) * rel)
 
 
@@ -140,7 +140,7 @@ def theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     v1, e1 = qpoch_raw(w, q.q, tol.cut)
     v2, e2 = qpoch_raw(q.q / w, q.q, tol.cut)
     base = v1 * v2
-    rel = e1 / max(abs(v1), tol.abs_floor) + e2 / max(abs(v2), tol.abs_floor)
+    rel = e1 / max(abs(v1), ABS_FLOOR) + e2 / max(abs(v2), ABS_FLOOR)
     if n == 0:
         return EvalResult(base, abs(base) * rel)
     log_fac = -0.5 * n * (n - 1) * math.log(q.q) - n * cmath.log(w)
@@ -159,7 +159,7 @@ def theta_multi(zs, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
         if r.value == 0.0:
             return EvalResult(0.0, 0.0)
         prod *= r.value
-        rel += r.abs_error_bound / max(abs(r.value), tol.abs_floor)
+        rel += r.abs_error_bound / max(abs(r.value), ABS_FLOOR)
     return EvalResult(prod, abs(prod) * rel)
 
 
@@ -193,16 +193,12 @@ def theta_logderiv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> compl
 def theta_deriv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """theta_q'(z).
 
-    Generic z: theta_q(z) times the log-derivative series.  At z = 1 (a
-    simple zero) the exact closed value -(q; q)_inf^2 is returned.
+    Generic z: theta_q(z) times the log-derivative series.  At the simple
+    zeros q^n the exact closed value is returned; theta'(1) = -(q; q)_inf^2.
     """
     z = complex(z)
     if z == 0:
         raise DomainError("theta_q' undefined at z = 0")
-    if abs(z - 1.0) < 1e-14:
-        r = qpoch_inf(q.q, q, tol)
-        val = -r.value * r.value
-        return EvalResult(val, 2.0 * abs(r.value) * r.abs_error_bound)
     if _is_on_q_lattice(z, q.q):
         # simple zero at q^n: theta'(q^n) = (-1)^n q^{-n(n+1)/2} theta'(1)
         n = round(math.log(z.real) / math.log(q.q))

@@ -1,5 +1,6 @@
 """Determinantal sampling: window validation, correlation functions, the
-exact outcome oracle, and statistical agreement of the sampler."""
+exact outcome oracle, statistical agreement of the sampler, and draw-for-draw
+agreement of its Schur-update projection step with an orthonormal-basis one."""
 
 import math
 from collections import Counter
@@ -10,6 +11,8 @@ from scipy import stats
 
 from qtail import (
     DomainError,
+    QContext,
+    QParam,
     SampleConfig,
     Window,
     correlation,
@@ -18,7 +21,9 @@ from qtail import (
     kernel_matrix,
     rho1_star_profile,
     sample_window,
+    validate_pair,
 )
+from qtail.dpp import MAX_WINDOW, _validated_eigh
 
 
 @pytest.fixture
@@ -168,3 +173,69 @@ class TestSampler:
     def test_rejects_non_hermitian_kernel(self, window4):
         with pytest.raises(ArithmeticError):
             sample_window(window4, lambda x, y: complex(x.k - y.k), SampleConfig(1, seed=0))
+
+
+def _basis_reference(window, kernel, cfg):
+    """The sampler with the projection step on an orthonormal basis of the
+    selected eigenvectors: at each drawn point, delete the pivot column,
+    project the point out of the others and re-orthonormalize by QR."""
+    lam, V = _validated_eigh(kernel_matrix(window.points, kernel))
+    n = len(window)
+    out = []
+    for s in range(cfg.n_samples):
+        rng = np.random.default_rng([cfg.seed, s])
+        keep = rng.random(lam.shape[0]) < lam
+        B = V[:, keep]
+        chosen = []
+        while B.shape[1] > 0:
+            probs = np.sum(np.abs(B) ** 2, axis=1).real / B.shape[1]
+            probs = np.clip(probs, 0.0, None)
+            probs /= probs.sum()
+            i = int(rng.choice(n, p=probs))
+            chosen.append(i)
+            row = B[i, :]
+            j0 = int(np.argmax(np.abs(row)))
+            piv = B[:, j0].copy()
+            pr = row[j0]
+            B = np.delete(B, j0, axis=1)
+            B = B - np.outer(piv, B[i, :] / pr)
+            if B.shape[1] > 0:
+                B, _ = np.linalg.qr(B)
+        out.append(tuple(sorted(chosen)))
+    return out
+
+
+def _principal_kernel(q):
+    ctx = QContext(QParam(q), 1.3, -0.55)
+    g = 0.8 * complex(np.cos(1.1), np.sin(1.1))
+    pair = validate_pair(g, g.conjugate(), ctx)
+    return ctx, lambda x, y: elliptic_kernel(x, y, pair, ctx).value
+
+
+class TestSamplerMatchesBasisReference:
+    def _assert_same(self, window, kernel, cfg):
+        got = sample_window(window, kernel, cfg)
+        assert got == _basis_reference(window, kernel, cfg)
+        return got
+
+    def test_conftest_window(self, window4, kern):
+        self._assert_same(window4, kern, SampleConfig(1000, seed=2026))
+
+    def test_principal_window(self):
+        ctx, kern = _principal_kernel(0.85)
+        window = Window(tuple(ctx.point(s, k) for s in (1, -1) for k in range(6)))
+        self._assert_same(window, kern, SampleConfig(300, seed=85))
+
+    def test_full_window(self):
+        ctx, kern = _principal_kernel(0.9)
+        ks = range(-MAX_WINDOW // 4, MAX_WINDOW // 4)
+        window = Window(tuple(ctx.point(s, k) for s in (1, -1) for k in ks))
+        got = self._assert_same(window, kern, SampleConfig(40, seed=90))
+        assert np.mean([len(s) for s in got]) > 16
+
+    @pytest.mark.parametrize("kernel, draw", [(lambda x, y: 0.0, ()),
+                                              (lambda x, y: float(x == y), (0, 1, 2, 3))],
+                             ids=["zero", "identity"])
+    def test_degenerate_kernel(self, window4, kernel, draw):
+        got = self._assert_same(window4, kernel, SampleConfig(50, seed=1))
+        assert got == [draw] * 50

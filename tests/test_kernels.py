@@ -14,6 +14,7 @@ from qtail import (
     AdmissibleQuadruple,
     DomainError,
     LatticePoint,
+    PoleError,
     QContext,
     QParam,
     Tolerance,
@@ -33,6 +34,7 @@ from qtail import (
     validate_pair,
     validate_quadruple,
 )
+from qtail import kernels
 from qtail.kernels import _NODE_LIMIT, C_elliptic, _PairPlan, _diag_contour, _elliptic_direct
 
 import theta_reference
@@ -332,6 +334,16 @@ class TestBasicKernel:
         deep = basic_kernel(ctx.point(1, 40), ctx.point(1, 40), quad, ctx).value
         target = elliptic_kernel(ctx.point(1, 0), ctx.point(1, 0), pair, ctx).value
         assert abs(deep - target) < 1e-5
+
+    def test_route_failure_propagates(self, ctx, quad, monkeypatch):
+        # deep points take the two-term route alone: its typed error must
+        # surface instead of a silent switch to the direct route
+        def fail(*args):
+            raise PoleError("two-term route fails")
+
+        monkeypatch.setattr(kernels, "_h_transformed", fail)
+        with pytest.raises(PoleError):
+            basic_kernel(ctx.point(1, 10), ctx.point(1, 11), quad, ctx)
 
 
 def _ring_by_ring(x, eps, integrand, pref):
