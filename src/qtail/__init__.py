@@ -14,9 +14,6 @@ from .qspecial import (
     EvalResult,
     QParam,
     Tolerance,
-    asym_qpoch,
-    asym_theta_neg,
-    asym_theta_pos,
     jacobi_imaginary_rhs,
     log_theta,
     qpoch_inf,
@@ -51,8 +48,6 @@ from .kernels import (
     elliptic_diag_contour,
     elliptic_kernel,
     frak_C,
-    frak_F,
-    frak_F_transformed,
     gauge_eps,
     gauge_nu,
     hat_kernel,
@@ -61,7 +56,6 @@ from .kernels import (
     validate_quadruple,
 )
 from .fourier import (
-    Matrix2C,
     fourier_closed,
     fourier_lemma_form,
     fourier_series,
@@ -92,6 +86,5 @@ from .dpp import (
     correlation,
     exact_outcome_probabilities,
     kernel_matrix,
-    rho1_star_profile,
     sample_window,
 )

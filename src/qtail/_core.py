@@ -1,10 +1,11 @@
 """The raw product and series loops under the special functions.
 
-q-Pochhammer, its log, the theta log-derivative, divided differences of
-theta and of z theta'/theta, 2phi1 partial sums and theta3.  All functions
-are scalar and return plain tuples; argument reduction and the choice of
-cut-offs live in the callers (``qspecial``, ``qhyper``, ``kernels``,
-``fourier``).
+Five product loops: q-Pochhammer, its log, and the divided differences
+rho of theta(a)/theta(b), [theta] and [z theta'/theta]; the theta
+log-derivative is rho at a = b.  Beside them the 2phi1 partial sums and
+theta3.  All functions are scalar and return plain tuples; argument
+reduction and the choice of cut-offs live in the callers (``qspecial``,
+``qhyper``, ``kernels``, ``fourier``).
 """
 
 import cmath
@@ -51,28 +52,6 @@ def logqpoch_raw(z, q, cut):
             raise ArithmeticError("q-Pochhammer truncation did not converge")
     # first-order tail of the log: sum of remaining -w q^j
     return total - w / (1.0 - q), abs(w) / (1.0 - q)
-
-
-def theta_logderiv_raw(z, q, cut):
-    """Logarithmic derivative d/dz log theta_q(z).
-
-    theta_q(z) = prod_{i>=0} (1 - z q^i) * prod_{i>=1} (1 - q^i / z), so the
-    log-derivative is sum_{i>=0} -q^i/(1 - z q^i) + sum_{i>=1} (q^i/z^2)/(1 - q^i/z).
-    Not valid at the zeros z in q^Z.
-    """
-    zinv = 1.0 / z
-    zinv2 = zinv * zinv
-    total = -1.0 / (1.0 - z)
-    scale = max(abs(z), abs(zinv))
-    p = q
-    i = 0
-    while p * scale > cut:  # as the product loops stop
-        total += -p / (1.0 - z * p) + (p * zinv2) / (1.0 - p * zinv)
-        p *= q
-        i += 1
-        if i > _MAX_ITER:
-            raise ArithmeticError("theta log-derivative did not converge")
-    return total, p * scale * (abs(zinv2) + 1.0) / (1.0 - q)
 
 
 def theta_ratio_dd_raw(a, b, q, cut):

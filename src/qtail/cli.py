@@ -182,11 +182,10 @@ def cmd_eval(args) -> int:
         payload = {
             "kind": "fourier",
             "eta": args.eta,
-            "matrix": [[emit_complex(M.pp), emit_complex(M.pm)],
-                       [emit_complex(M.mp), emit_complex(M.mm)]],
+            "matrix": [[emit_complex(v) for v in row] for row in M],
         }
         rows = [{"entry": e, "value": emit_complex(v)}
-                for e, v in (("pp", M.pp), ("pm", M.pm), ("mp", M.mp), ("mm", M.mm))]
+                for e, v in zip(("pp", "pm", "mp", "mm"), M.ravel())]
         _output(args, payload, rows)
         return EXIT_OK
     elif kind == "trig":

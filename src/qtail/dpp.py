@@ -30,7 +30,6 @@ __all__ = [
     "SampleConfig",
     "kernel_matrix",
     "correlation",
-    "rho1_star_profile",
     "sample_window",
     "exact_outcome_probabilities",
 ]
@@ -86,16 +85,6 @@ def correlation(points: Sequence[LatticePoint], kernel: Kernel) -> float:
     if abs(det.imag) > IMAG_RESIDUE * max(1.0, abs(det)):
         raise ArithmeticError(f"correlation has imaginary residue {det.imag:.3e}")
     return float(det.real)
-
-
-def rho1_star_profile(points: Sequence[LatticePoint], kernel: Kernel) -> list[float]:
-    """min(rho_1, 1 - rho_1) at each point: the per-point contribution to
-    the diffuseness series (number-variance divergence criterion)."""
-    out = []
-    for x in points:
-        r = correlation([x], kernel)
-        out.append(min(r, 1.0 - r))
-    return out
 
 
 def _validated_eigh(K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,16 +8,17 @@ difference); its Fourier series in the exponent
 
 is a 2x2 matrix-valued function on the circle.  Three independent
 evaluation routes are provided: the truncated lattice sum, a closed
-product-of-thetas form, and a theta log-derivative form.  The matrix is a
-rank-one orthogonal projection for every eta; ``projection_report``
-quantifies how closely a computed matrix satisfies that.
+product-of-thetas form, and a theta log-derivative form.  Each returns a
+2x2 complex array [[pp, pm], [mp, mm]] indexed by the branch signs (+, -).
+The matrix is a rank-one orthogonal projection for every eta;
+``projection_report`` quantifies how closely a computed matrix satisfies
+that.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,34 +27,12 @@ from .kernels import AdmissiblePair, QContext, _PairPlan
 from .qspecial import DEFAULT_TOL, Tolerance, theta, theta_multi
 
 __all__ = [
-    "Matrix2C",
     "truncation_order",
     "fourier_series",
     "fourier_closed",
     "fourier_lemma_form",
     "projection_report",
 ]
-
-
-@dataclass(frozen=True)
-class Matrix2C:
-    """2x2 complex matrix indexed by branch signs (+, -)."""
-
-    pp: complex
-    pm: complex
-    mp: complex
-    mm: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.pp, self.pm], [self.mp, self.mm]], dtype=complex)
-
-    def entry(self, e1: int, e2: int) -> complex:
-        if e1 > 0:
-            return self.pp if e2 > 0 else self.pm
-        return self.mp if e2 > 0 else self.mm
-
-    def max_abs_diff(self, other: "Matrix2C") -> float:
-        return float(np.max(np.abs(self.as_array() - other.as_array())))
 
 
 def truncation_order(pair: AdmissiblePair, ctx: QContext, tol: float) -> int:
@@ -68,7 +47,7 @@ def truncation_order(pair: AdmissiblePair, ctx: QContext, tol: float) -> int:
 
 
 def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
-                   tol: Tolerance = DEFAULT_TOL) -> Matrix2C:
+                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Truncated lattice sum, dropping terms below tol.rel_tol / 10.
 
     The gauged kernel is q-shift invariant, so eta enters only through
@@ -84,11 +63,11 @@ def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
     # theta-power ratio (the gauge is trivial on the plus branch and
     # cancels the (-1)^m on the minus branch)
     same = complex(2.0 * np.cos(eta * m[M + 1:]) @ a)
-    return Matrix2C(dp + same, complex(e @ pm), complex(e @ mp), dm - same)
+    return np.array([[dp + same, e @ pm], [e @ mp, dm - same]], dtype=complex)
 
 
 def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
-                   tol: Tolerance = DEFAULT_TOL) -> Matrix2C:
+                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Closed product form: each entry is a ratio of theta products in
     e^{i eta} times an eta-independent prefactor from the pair plan."""
     q = ctx.q
@@ -106,11 +85,11 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
     mm = mm_pref * (tm * tm.conjugate()) / den
     pm = cross_pref * (tp * tm.conjugate()) / den
     mp = cross_pref * (tm * tp.conjugate()) / den
-    return Matrix2C(pp, pm, mp, mm)
+    return np.array([[pp, pm], [mp, mm]], dtype=complex)
 
 
 def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
-                       tol: Tolerance = DEFAULT_TOL) -> Matrix2C:
+                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Theta log-derivative form of the same matrix (summed term by term
     via the two classical bilateral summation formulas)."""
     qv, cut = ctx.q.q, tol.cut
@@ -133,14 +112,14 @@ def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
     Z = th_gpdm * (r_b * E - (1.0 + eps * E) * e * r2 * sq * h * dd_b)
     # mp is pm at e^{-i eta} (by theta(z) = theta(q/z)), which for a real
     # pair or one stored with delta = conj(gamma) makes its Z conj(Z).
-    return Matrix2C(pp0 + t, pref * Z, pref * Z.conjugate(), mm0 - t)
+    return np.array([[pp0 + t, pref * Z], [pref * Z.conjugate(), mm0 - t]], dtype=complex)
 
 
 def projection_report(eta: float, pair: AdmissiblePair, ctx: QContext,
                       tol: Tolerance = DEFAULT_TOL) -> dict:
     """How far the closed-form matrix is from a rank-one orthogonal
     projection: Hermitian defect, |det|, |trace - 1|, and ||M^2 - M||."""
-    M = fourier_closed(eta, pair, ctx, tol).as_array()
+    M = fourier_closed(eta, pair, ctx, tol)
     herm = float(np.max(np.abs(M - M.conj().T)))
     det = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
     tr = abs(M[0, 0] + M[1, 1] - 1.0)

@@ -60,8 +60,6 @@ __all__ = [
     "tilde_kernel",
     "hat_kernel",
     "frak_C",
-    "frak_F",
-    "frak_F_transformed",
     "basic_kernel",
 ]
 
@@ -700,30 +698,6 @@ def _h_transformed(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext,
 def _h(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext, tol: Tolerance) -> complex:
     small = abs(z) < ctx.q.q ** 3 * min(ctx.zeta_plus, -ctx.zeta_minus)
     return (_h_transformed if small else _h_direct)(z, r, quad, ctx, tol)
-
-
-def _sqrt_weight_real(x: float, quad: AdmissibleQuadruple, ctx: QContext,
-                      tol: Tolerance) -> float:
-    """Positive square root of the weight at a real lattice point."""
-    sign = 1.0 if x > 0 else -1.0
-    return math.exp(0.5 * _log_weight(x, quad, ctx, sign, tol).real)
-
-
-def frak_F(x: float, r_index: int, quad: AdmissibleQuadruple, ctx: QContext,
-           tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """Building function of the four-parameter kernel at real lattice x
-    (direct representation)."""
-    x = float(x)
-    val = _sqrt_weight_real(x, quad, ctx, tol) * _h_direct(x, r_index, quad, ctx, tol)
-    return _wrap(val, tol)
-
-
-def frak_F_transformed(x: float, r_index: int, quad: AdmissibleQuadruple, ctx: QContext,
-                       tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """Same function through the two-term split; preferred for small |x|."""
-    x = float(x)
-    val = _sqrt_weight_real(x, quad, ctx, tol) * _h_transformed(x, r_index, quad, ctx, tol)
-    return _wrap(val, tol)
 
 
 def basic_kernel(x, y, quad: AdmissibleQuadruple, ctx: QContext,

@@ -1,4 +1,4 @@
-"""q-Pochhammer symbols, theta functions and their q->1 asymptotic estimates.
+"""q-Pochhammer symbols and theta functions.
 
 Conventions (fixed throughout the package):
 
@@ -7,7 +7,8 @@ Conventions (fixed throughout the package):
     theta3(z; q) = sum_{n in Z} z^n q^{n^2/2}
 
 Note theta3 uses nome parameter q^{1/2} relative to the textbook convention.
-All evaluations carry a truncation-tail bound in the returned EvalResult.
+Functions that return an EvalResult carry a truncation-tail bound in it;
+log_theta and theta_logderiv return a plain complex.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from ._core import logqpoch_raw, qpoch_raw, theta3_raw, theta_logderiv_raw
+from ._core import _MAX_ITER, logqpoch_raw, qpoch_raw, theta3_raw, theta_ratio_dd_raw
 
 __all__ = [
     "QParam",
     "Tolerance",
     "EvalResult",
+    "DomainError",
+    "DEFAULT_TOL",
     "qpoch_inf",
     "qpoch_multi",
     "theta",
@@ -31,9 +34,6 @@ __all__ = [
     "log_theta",
     "theta3",
     "jacobi_imaginary_rhs",
-    "asym_qpoch",
-    "asym_theta_pos",
-    "asym_theta_neg",
 ]
 
 PI2 = math.pi * math.pi
@@ -182,12 +182,15 @@ def log_theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
 
 
 def theta_logderiv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
-    """theta_q'(z) / theta_q(z) via the product's log-derivative series."""
+    """theta_q'(z) / theta_q(z): the divided difference rho(z, z) of
+    theta(a)/theta(b)."""
     z = complex(z)
     if z == 0 or _is_on_q_lattice(z, q.q):
         raise DomainError("theta log-derivative undefined on q^Z and at 0")
-    val, _ = theta_logderiv_raw(z, q.q, tol.cut)
-    return val
+    # the loop runs until q^i max(|z|, 1/|z|) <= cut and has no cap of its own
+    if math.log(tol.cut / max(abs(z), 1.0 / abs(z))) / math.log(q.q) > _MAX_ITER:
+        raise ArithmeticError("theta log-derivative did not converge")
+    return theta_ratio_dd_raw(z, z, q.q, tol.cut)[0]
 
 
 def theta_deriv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -237,33 +240,3 @@ def jacobi_imaginary_rhs(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) ->
     pref = math.sqrt(2.0 * math.pi / r) * cmath.exp(-2.0 * PI2 * u * u / r)
     val, err = theta3_raw(zdual, qdual, tol.cut)
     return EvalResult(pref * val, abs(pref) * err)
-
-
-def asym_qpoch(r: float) -> complex:
-    """Leading-order (q; q)_inf for q = exp(-r), r -> 0+."""
-    if r <= 0:
-        raise DomainError("r must be positive")
-    return math.sqrt(2.0 * math.pi / r) * math.exp(-PI2 / (6.0 * r))
-
-
-def asym_theta_pos(z: complex, r: float) -> complex:
-    """Leading-order theta_q(z) for z off the negative real axis, r -> 0+.
-
-    Magnitudes exceeding double range are not protected here; callers in
-    the near-1 regime should work with the log of the returned expression.
-    """
-    z = complex(z)
-    if z == 0 or (z.imag == 0.0 and z.real < 0.0):
-        raise DomainError("requires |arg z| < pi")
-    u = cmath.log(z) / TWO_PI_I
-    expo = -PI2 / (3.0 * r) - 2.0 * PI2 * u * u / r - 2.0 * PI2 * u / r + 1j * math.pi * u
-    return 1j * cmath.exp(expo) * (1.0 - cmath.exp(4.0 * PI2 * u / r))
-
-
-def asym_theta_neg(z: complex, r: float) -> complex:
-    """Leading-order theta_q(z) for z off the positive real axis, r -> 0+."""
-    z = complex(z)
-    if z == 0 or (z.imag == 0.0 and z.real > 0.0):
-        raise DomainError("requires |arg z| > 0")
-    v = cmath.log(-z) / TWO_PI_I
-    return cmath.exp(PI2 / (6.0 * r) - 2.0 * PI2 * v * v / r + 1j * math.pi * v)

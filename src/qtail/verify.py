@@ -149,7 +149,7 @@ def trace_identity_residual(eta: float, pair: AdmissiblePair, ctx: QContext,
     """Trace of the closed-form Fourier matrix against 1 (a disguised
     instance of the three-term theta relation)."""
     M = fourier_closed(eta, pair, ctx, tol)
-    lhs = M.pp + M.mm
+    lhs = complex(M[0, 0] + M[1, 1])
     return _report("fourier_trace_one", lhs, 1.0 + 0.0j,
                    {"eta": eta, "gamma": pair.gamma, "delta": pair.delta})
 
@@ -158,9 +158,9 @@ def fourier_equality_residual(eta: float, pair: AdmissiblePair, ctx: QContext,
                               tol: Tolerance = DEFAULT_TOL) -> IdentityReport:
     """Worst entrywise disagreement among the three evaluation routes of
     the Fourier matrix (lattice sum, product form, log-derivative form)."""
-    S = fourier_series(eta, pair, ctx, tol).as_array()
-    C = fourier_closed(eta, pair, ctx, tol).as_array()
-    L = fourier_lemma_form(eta, pair, ctx, tol).as_array()
+    S = fourier_series(eta, pair, ctx, tol)
+    C = fourier_closed(eta, pair, ctx, tol)
+    L = fourier_lemma_form(eta, pair, ctx, tol)
     scale = float(max(np.max(np.abs(S)), np.max(np.abs(C)), np.max(np.abs(L))))
     worst = (-1.0, complex(S[0, 0]), complex(C[0, 0]))
     for A, B in ((S, C), (S, L)):

@@ -211,7 +211,7 @@ class TestEqualPairs:
         got = np.array([[complex(*v) for v in row]
                         for row in json.loads(capsys.readouterr().out)["matrix"]])
         ctx = QContext(QParam(0.5), 1.3, -0.55)
-        want = fourier_lemma_form(0.7, validate_pair(self.G, self.G, ctx), ctx).as_array()
+        want = fourier_lemma_form(0.7, validate_pair(self.G, self.G, ctx), ctx)
         assert np.max(np.abs(got - want)) <= 1e-13
         assert abs(np.trace(got) - 1.0) <= 1e-13
 

@@ -19,7 +19,6 @@ from qtail import (
     elliptic_kernel,
     exact_outcome_probabilities,
     kernel_matrix,
-    rho1_star_profile,
     sample_window,
     validate_pair,
 )
@@ -79,7 +78,9 @@ class TestCorrelations:
         assert r2 <= correlation([x], kern) * correlation([y], kern) + 1e-12
 
     def test_rho1_star_profile_positive(self, window4, kern):
-        prof = rho1_star_profile(window4.points, kern)
+        # min(rho_1, 1 - rho_1), the per-point term of the diffuseness series,
+        # on both branch anchors and the next point on each branch
+        prof = [min(r, 1.0 - r) for r in (correlation([x], kern) for x in window4.points)]
         assert len(prof) == 4
         assert all(0.0 < v <= 0.5 for v in prof)
 

@@ -24,7 +24,6 @@ from qtail import (
     fourier_lemma_form,
     fourier_series,
     sample_window,
-    theta_logderiv,
     validate_pair,
 )
 from qtail._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
@@ -98,8 +97,8 @@ def test_fourier_routes_agree_through_gamma_equals_delta(name):
         pair = validate_pair(*make(eps), ctx)
         for eta in ETAS:
             closed = fourier_closed(float(eta), pair, ctx)
-            assert closed.max_abs_diff(fourier_lemma_form(float(eta), pair, ctx)) <= 1e-13
-            assert closed.max_abs_diff(fourier_series(float(eta), pair, ctx)) <= 1e-12
+            assert np.max(np.abs(closed - fourier_lemma_form(float(eta), pair, ctx))) <= 1e-13
+            assert np.max(np.abs(closed - fourier_series(float(eta), pair, ctx))) <= 1e-12
             assert fourier_equality_residual(float(eta), pair, ctx).rel_residual < 1e-12
 
 
@@ -159,7 +158,6 @@ def test_divided_differences_at_a_equal_b(a):
     rho, _ = theta_ratio_dd_raw(a, a, q.q, DEFAULT_TOL.cut)
     want = theta_reference.logderiv(a, q.q)
     assert abs(rho - want) <= 1e-14 * abs(want)
-    assert abs(rho - theta_logderiv(a, q)) <= 3e-14 * abs(want)
     T, P, _ = theta_dd_raw(a, a, 0.45 - 0.2j, q.q, DEFAULT_TOL.cut)
     assert abs(T / P - want) <= 1e-14 * abs(want)
     F, _ = zlogderiv_dd_raw(a, a, q.q, DEFAULT_TOL.cut)
@@ -175,7 +173,7 @@ def test_lemma_form_where_a_cross_theta_vanishes():
         pair = validate_pair(0.6, d, ctx)
         for eta in (0.0, 1e-9, 0.4):
             closed = fourier_closed(eta, pair, ctx)
-            assert closed.max_abs_diff(fourier_lemma_form(eta, pair, ctx)) <= 1e-13
+            assert np.max(np.abs(closed - fourier_lemma_form(eta, pair, ctx))) <= 1e-13
 
 
 @pytest.mark.parametrize("x", [1, 2, 7, 37, 400])

@@ -11,7 +11,6 @@ import pytest
 
 from qtail import (
     DEFAULT_TOL,
-    Matrix2C,
     QContext,
     QParam,
     Tolerance,
@@ -38,22 +37,6 @@ from conftest import GAMMA_REF, DELTA_REF
 ETAS = [0.0, 0.7, -1.9, math.pi - 0.01, 2.4]
 
 
-class TestMatrix2C:
-    def test_entry_indexing(self):
-        M = Matrix2C(1, 2, 3, 4)
-        assert M.entry(1, 1) == 1 and M.entry(1, -1) == 2
-        assert M.entry(-1, 1) == 3 and M.entry(-1, -1) == 4
-
-    def test_as_array_layout(self):
-        A = Matrix2C(1, 2, 3, 4).as_array()
-        assert A[0, 1] == 2 and A[1, 0] == 3
-
-    def test_max_abs_diff(self):
-        a = Matrix2C(1, 0, 0, 1)
-        b = Matrix2C(1, 0.5, 0, 1)
-        assert a.max_abs_diff(b) == pytest.approx(0.5)
-
-
 class TestTruncationOrder:
     def test_grows_with_tightness(self, ctx, pair):
         assert truncation_order(pair, ctx, 1e-16) > truncation_order(pair, ctx, 1e-6)
@@ -72,16 +55,16 @@ class TestThreeRoutes:
         S = fourier_series(eta, pair, ctx)
         C = fourier_closed(eta, pair, ctx)
         L = fourier_lemma_form(eta, pair, ctx)
-        assert S.max_abs_diff(C) < 1e-10
-        assert S.max_abs_diff(L) < 1e-10
+        assert np.max(np.abs(S - C)) < 1e-10
+        assert np.max(np.abs(S - L)) < 1e-10
 
     @pytest.mark.parametrize("eta", [0.3, -2.1])
     def test_principal_pair(self, ctx, principal_pair, eta):
         S = fourier_series(eta, principal_pair, ctx)
         C = fourier_closed(eta, principal_pair, ctx)
         L = fourier_lemma_form(eta, principal_pair, ctx)
-        assert S.max_abs_diff(C) < 1e-10
-        assert S.max_abs_diff(L) < 1e-10
+        assert np.max(np.abs(S - C)) < 1e-10
+        assert np.max(np.abs(S - L)) < 1e-10
 
     def test_random_pairs(self, rng):
         for _ in range(8):
@@ -90,8 +73,8 @@ class TestThreeRoutes:
             eta = float(rng.uniform(-math.pi, math.pi))
             S = fourier_series(eta, pair, ctx)
             C = fourier_closed(eta, pair, ctx)
-            scale = max(1.0, float(np.max(np.abs(S.as_array()))))
-            assert S.max_abs_diff(C) < 1e-9 * scale
+            scale = max(1.0, float(np.max(np.abs(S))))
+            assert np.max(np.abs(S - C)) < 1e-9 * scale
 
 
 class TestLatticeSum:
@@ -110,7 +93,7 @@ class TestLatticeSum:
                     cmath.exp(1j * eta * m) * tilde_kernel(ctx.point(e1, m), y, pair, ctx).value
                     for m in range(-M, M + 1)
                 )
-        got = fourier_series(eta, pair, ctx).as_array()
+        got = fourier_series(eta, pair, ctx)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
@@ -177,18 +160,18 @@ class TestDistinctThetas:
     def test_closed_is_the_ten_theta_formula(self, ctx, pairs):
         for p in pairs:
             for eta in self.GRID:
-                got = fourier_closed(float(eta), p, ctx).as_array()
+                got = fourier_closed(float(eta), p, ctx)
                 assert np.array_equal(got, _closed_ten_thetas(float(eta), p, ctx))
 
     def test_closed_at_negative_zero_is_closed_at_zero(self, ctx, pairs):
         for p in pairs:
-            assert (fourier_closed(-0.0, p, ctx).as_array().tobytes()
-                    == fourier_closed(0.0, p, ctx).as_array().tobytes())
+            assert (fourier_closed(-0.0, p, ctx).tobytes()
+                    == fourier_closed(0.0, p, ctx).tobytes())
 
     def test_lemma_is_the_six_theta_formula(self, ctx, pairs):
         for p in pairs:
             for eta in self.GRID:
-                got = fourier_lemma_form(float(eta), p, ctx).as_array()
+                got = fourier_lemma_form(float(eta), p, ctx)
                 want = _lemma_six_thetas(float(eta), p, ctx)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -264,7 +247,7 @@ class TestRouteCaches:
 
     def test_second_call_repeats_first_bitwise(self, ctx, pair, principal_pair, cold_caches):
         def calls():
-            return np.array([route(eta, p, ctx).as_array()
+            return np.array([route(eta, p, ctx)
                              for p in (pair, principal_pair)
                              for eta in (0.0, 0.7, -2.4)
                              for route in self.ROUTES]).tobytes()
@@ -341,7 +324,7 @@ class TestProjection:
         assert rep["idempotent_residual"] < 1e-10
 
     def test_eigenvalues_are_zero_and_one(self, ctx, pair):
-        M = fourier_closed(0.9, pair, ctx).as_array()
+        M = fourier_closed(0.9, pair, ctx)
         lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
         assert lam[0] == pytest.approx(0.0, abs=1e-10)
         assert lam[1] == pytest.approx(1.0, abs=1e-10)
@@ -349,5 +332,5 @@ class TestProjection:
     def test_diagonal_entries_in_unit_interval(self, ctx, pair):
         for eta in ETAS:
             M = fourier_closed(eta, pair, ctx)
-            assert -1e-12 < M.pp.real < 1.0 + 1e-12
-            assert -1e-12 < M.mm.real < 1.0 + 1e-12
+            assert -1e-12 < M[0, 0].real < 1.0 + 1e-12
+            assert -1e-12 < M[1, 1].real < 1.0 + 1e-12

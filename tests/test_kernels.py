@@ -25,8 +25,6 @@ from qtail import (
     elliptic_diag_contour,
     elliptic_kernel,
     frak_C,
-    frak_F,
-    frak_F_transformed,
     gauge_eps,
     gauge_nu,
     hat_kernel,
@@ -302,9 +300,11 @@ class TestBasicKernel:
 
     def test_building_function_two_routes_agree(self, ctx, quad):
         for x in (1.3 * 0.5 ** 2, -0.55 * 0.5, 1.3 * 0.5 ** 5):
+            # the two routes of the building function's meromorphic part, of
+            # which _h picks one by |x|
             for r in (0, 1):
-                d = frak_F(x, r, quad, ctx).value
-                t = frak_F_transformed(x, r, quad, ctx).value
+                d = kernels._h_direct(x, r, quad, ctx, DEFAULT_TOL)
+                t = kernels._h_transformed(x, r, quad, ctx, DEFAULT_TOL)
                 assert abs(d - t) <= 1e-10 * max(abs(d), abs(t), 1e-30)
 
     def test_symmetry(self, ctx, quad):

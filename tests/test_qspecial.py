@@ -14,9 +14,6 @@ from qtail import (
     DomainError,
     QParam,
     Tolerance,
-    asym_qpoch,
-    asym_theta_neg,
-    asym_theta_pos,
     jacobi_imaginary_rhs,
     log_theta,
     qpoch_inf,
@@ -29,6 +26,10 @@ from qtail import (
 )
 
 import theta_reference
+
+
+EPS = 2.0 ** -52
+LOGDERIV_Z = [0.7, 0.05, 0.5 ** 10.3, 3.1 + 0.4j, 0.3 - 0.8j]
 
 
 def brute_qpoch(z, q, n=300):
@@ -79,22 +80,25 @@ class TestQpoch:
         assert r.abs_error_bound < 1e-12 * abs(r.value) * 100
 
     def test_asymptotic_near_one(self):
-        r = 0.01
-        q = math.exp(-r)
-        exact = qpoch_inf(q, QParam(q), Tolerance(rel_tol=1e-14)).value
-        assert abs(exact / asym_qpoch(r) - 1.0) < r
+        # Dedekind eta's modular transformation: (q; q)_inf =
+        # sqrt(2 pi/r) exp(r/24 - pi^2/(6r)) (q'; q')_inf with q' =
+        # e^{-4 pi^2/r}, and (q'; q')_inf = 1 in double precision at r = 0.01
+        q = QParam(math.exp(-0.01))
+        r = q.r  # the rate of the rounded q: pi^2/(6r) magnifies errors in r
+        exact = qpoch_inf(q.q, q, Tolerance(rel_tol=1e-14)).value
+        eta = math.sqrt(2.0 * math.pi / r) * math.exp(r / 24.0 - math.pi ** 2 / (6.0 * r))
+        assert abs(exact / eta - 1.0) < 1e-12
 
-    # asym_theta_pos overflows at q = 0.995 for the first z (its docstring
-    # leaves magnitudes beyond double range unprotected), so the check
-    # stops at q = 0.99
-    @pytest.mark.parametrize("asym", [asym_theta_pos, asym_theta_neg])
     @pytest.mark.parametrize("q", [0.9, 0.99])
     @pytest.mark.parametrize("z", [0.7 * cmath.exp(0.8j), 1.3 * cmath.exp(-2j)])
-    def test_theta_asymptotic_near_one(self, asym, q, z):
-        # the leading-order estimates miss log|theta| by about -r/12
-        r = -math.log(q)
-        diff = cmath.log(asym(z, r)) - log_theta(z, QParam(q))
-        assert abs(diff.real) < r / 6
+    def test_theta_asymptotic_near_one(self, q, z):
+        """log_theta near q = 1, where |theta| spans 1e-45 to 1e44 over
+        these points, against the 40-digit product."""
+        want = cmath.log(theta_reference.theta(z, q))
+        got = log_theta(z, QParam(q))
+        assert abs(got.real - want.real) <= 1e-13 * abs(want.real)
+        phase = (got.imag - want.imag + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(phase) <= 1e-11
 
 
 class TestTheta:
@@ -200,13 +204,29 @@ class TestThetaDeriv:
         assert theta_logderiv(z, q) == pytest.approx(
             theta_deriv(z, q).value / theta(z, q).value, rel=1e-11)
 
-    @pytest.mark.parametrize("q", [0.5, 0.9])
-    @pytest.mark.parametrize("z", [0.7, 0.05, 0.5 ** 10.3, 3.1 + 0.4j, 0.3 - 0.8j])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.3])
+    @pytest.mark.parametrize("z", LOGDERIV_Z)
     def test_logderiv_matches_reference(self, q, z):
         """The series runs until every factor is 1 to within the cut, also
         far from |z| = 1."""
         want = theta_reference.logderiv(z, q)
         assert abs(theta_logderiv(z, QParam(q)) - want) <= 5e-14 * abs(want)
+
+    @pytest.mark.parametrize("z", LOGDERIV_Z)
+    def test_logderiv_near_one_within_conditioning(self, z):
+        """At q = 0.99 the real points lie within 0.5% of a zero of theta,
+        where |z L'(z) / L(z)| reaches 2e3 for L = theta'/theta: rounding
+        the products z q^i then costs that many ulps of L.  The error stays
+        within 5e-14 of |L| plus 8 ulps of |z L'(z)|."""
+        q = 0.99
+        want, z_dlogderiv = theta_reference.logderiv_and_z_d(z, q)
+        err = abs(theta_logderiv(z, QParam(q)) - want)
+        assert err <= 5e-14 * abs(want) + 8 * EPS * abs(z_dlogderiv)
+
+    def test_logderiv_raises_beyond_iteration_cap(self):
+        # about 3.5e9 factors at q = 1 - 1e-8, past the loops' 2e6 cap
+        with pytest.raises(ArithmeticError):
+            theta_logderiv(0.5 + 0.1j, QParam(1.0 - 1e-8))
 
     def test_logderiv_rejects_zero_locus(self):
         with pytest.raises(DomainError):

@@ -65,10 +65,24 @@ def _mp(z):
     return mp.mpf(z.real) if z.imag == 0 else mp.mpc(z.real, z.imag)
 
 
+def theta(z, q) -> complex:
+    """theta(z) = (z, q/z; q)_inf."""
+    with mp.workdps(DPS):
+        return complex(_theta_L(_mp(z), mp.mpf(q))[0])
+
+
 def logderiv(a, q) -> complex:
     """theta'(a) / theta(a)."""
     with mp.workdps(DPS):
         return complex(_theta_L(_mp(a), mp.mpf(q))[1])
+
+
+def logderiv_and_z_d(a, q) -> tuple[complex, complex]:
+    """L(a) = theta'(a)/theta(a) and a L'(a); their ratio is the condition
+    number of L at a."""
+    with mp.workdps(DPS):
+        a, q = _mp(a), mp.mpf(q)
+        return complex(_theta_L(a, q)[1]), complex(a * _logderiv_d(a, q))
 
 
 def zlogderiv_d(a, q) -> complex:
