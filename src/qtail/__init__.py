@@ -42,9 +42,6 @@ from .kernels import (
     QContext,
     basic_kernel,
     closed_diag,
-    closed_mm,
-    closed_pm,
-    closed_pp,
     elliptic_diag_contour,
     elliptic_kernel,
     frak_C,

@@ -8,12 +8,15 @@ kernel families live here:
 * the two-parameter theta kernel ``elliptic_kernel`` built from theta
   quotients, with (gamma, delta) an admissible pair.
 
-Lattice evaluations of the theta kernel go through closed forms (theta-power
-ratios off the diagonal, log-derivative forms on it), written with B = C
-(delta - gamma) so that gamma = delta takes the same path; large-magnitude
-combinations are assembled in log space so nothing overflows on the way to
-an O(1) kernel value.  Diagonal values of the four-parameter kernel use the
-contour-integral representation.
+Lattice values of the theta kernel are the closed forms of one pair plan,
+``_PairPlan`` (theta-power ratios off the diagonal, log-derivative forms on
+it), written with B = C (delta - gamma) so that gamma = delta takes the
+same path; large-magnitude combinations are assembled in log space so
+nothing overflows on the way to an O(1) kernel value.  Diagonal values of
+the four-parameter kernel use the contour-integral representation.
+
+No error bound has been derived for any value here, so every EvalResult
+this module returns has abs_error_bound None.
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ __all__ = [
     "log_C_elliptic",
     "elliptic_kernel",
     "elliptic_diag_contour",
-    "closed_pp",
-    "closed_mm",
-    "closed_pm",
     "closed_diag",
     "gauge_eps",
     "gauge_nu",
@@ -225,10 +225,6 @@ def _log_qpoch(z: complex, q: QParam, tol: Tolerance) -> complex:
     return val
 
 
-def _wrap(value: complex, tol: Tolerance) -> EvalResult:
-    return EvalResult(value, abs(value) * 10.0 * tol.rel_tol)
-
-
 def _expm1(z: complex) -> complex:
     """e^z - 1 without cancellation at small |z| (cmath has no expm1)."""
     h = math.sin(0.5 * z.imag)
@@ -398,6 +394,18 @@ class _PairPlan:
         dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q, self.tol.cut)
         return sign * self.B * zeta * dd
 
+    def entry(self, x: LatticePoint, y: LatticePoint) -> complex:
+        """K(x, y) at two lattice points: ``diag`` on the diagonal, ``same``
+        on one branch (with (-1)^(m + n) on the positive one) and ``cross``
+        across the branches, where K is symmetric."""
+        if x.sign != y.sign:
+            return self.cross(x.k, y.k) if x.sign > 0 else self.cross(y.k, x.k)
+        if x.k == y.k:
+            return self.diag(x.sign)
+        if x.sign > 0:
+            return (-1) ** (x.k + y.k) * self.same(x.k - y.k)
+        return -self.same(x.k - y.k)
+
     def lattice(self, M: int) -> tuple:
         """The eta-independent coefficients of the lattice sum truncated at
         |m| <= M, computed once per M from the methods above and kept on
@@ -429,7 +437,7 @@ def log_C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT
 
 
 def C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    return _wrap(cmath.exp(log_C_elliptic(pair, ctx, tol)), tol)
+    return EvalResult(cmath.exp(log_C_elliptic(pair, ctx, tol)), None)
 
 
 def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext,
@@ -454,56 +462,26 @@ def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext,
     return _PairPlan.build(pair, ctx, tol).B * qx * qy * (rx - ry) / (xv - yv)
 
 
-def closed_pp(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
-              tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """K(zeta_+ q^m, zeta_+ q^n) in closed form, m != n."""
-    if m == n:
-        raise DomainError("m = n handled by closed_diag")
-    return _wrap((-1) ** (m + n) * _PairPlan.build(pair, ctx, tol).same(m - n), tol)
-
-
-def closed_mm(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
-              tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """K(zeta_- q^m, zeta_- q^n) in closed form, m != n."""
-    if m == n:
-        raise DomainError("m = n handled by closed_diag")
-    return _wrap(-_PairPlan.build(pair, ctx, tol).same(m - n), tol)
-
-
-def closed_pm(m: int, n: int, pair: AdmissiblePair, ctx: QContext,
-              tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """K(zeta_+ q^m, zeta_- q^n) = K(zeta_- q^n, zeta_+ q^m), log-space assembly."""
-    return _wrap(_PairPlan.build(pair, ctx, tol).cross(m, n), tol)
-
-
 def closed_diag(sign: int, pair: AdmissiblePair, ctx: QContext,
                 tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     """K(zeta_s q^m, zeta_s q^m): independent of m, via theta log-derivatives."""
-    return _wrap(_PairPlan.build(pair, ctx, tol).diag(sign), tol)
+    return EvalResult(_PairPlan.build(pair, ctx, tol).diag(sign), None)
 
 
 def elliptic_kernel(x, y, pair: AdmissiblePair, ctx: QContext,
                     tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    """The theta kernel; lattice points dispatch to the closed forms.
+    """The theta kernel; two lattice points take the pair plan's closed forms.
 
     Non-lattice (real or complex, off the singular set) arguments use the
     direct quotient form, which is safe at moderate q.
     """
     if isinstance(x, LatticePoint) and isinstance(y, LatticePoint):
-        if x.sign == y.sign:
-            if x.k == y.k:
-                return closed_diag(x.sign, pair, ctx, tol)
-            if x.sign > 0:
-                return closed_pp(x.k, y.k, pair, ctx, tol)
-            return closed_mm(x.k, y.k, pair, ctx, tol)
-        if x.sign > 0:
-            return closed_pm(x.k, y.k, pair, ctx, tol)
-        return closed_pm(y.k, x.k, pair, ctx, tol)
+        return EvalResult(_PairPlan.build(pair, ctx, tol).entry(x, y), None)
     xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
     yv = y.value(ctx) if isinstance(y, LatticePoint) else float(y)
     if xv == yv:
         raise DomainError("diagonal off the lattice: use elliptic_diag_contour")
-    return _wrap(_elliptic_direct(xv, yv, pair, ctx, tol), tol)
+    return EvalResult(_elliptic_direct(xv, yv, pair, ctx, tol), None)
 
 
 def _sing_distance(x: float, params, ctx: QContext) -> float:
@@ -518,8 +496,7 @@ def _sing_distance(x: float, params, ctx: QContext) -> float:
     return dist
 
 
-def _diag_contour(x: float, eps: float, integrand, pref: complex,
-                  tol: Tolerance) -> EvalResult:
+def _diag_contour(x: float, eps: float, integrand, pref: complex) -> EvalResult:
     """Trapezoid rule for a kernel diagonal on the circle |z - x| = eps.
 
     ``integrand(z)`` returns (log(w(z)/w(x)), numerator(z)) for the
@@ -560,10 +537,10 @@ def _diag_contour(x: float, eps: float, integrand, pref: complex,
             nodes = [node(j, n) for j in range(n)]
         val = ring(nodes)
         if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
-            return _wrap(val, tol)
+            return EvalResult(val, None)
         prev = val
         n *= 2
-    return _wrap(prev, tol)
+    return EvalResult(prev, None)
 
 
 def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
@@ -589,7 +566,7 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
         return cmath.log(z * rx / (xv * pg * pd)), z * t - xv * pg * tx
 
     B = _PairPlan.build(pair, ctx, tol).B
-    return _diag_contour(xv, eps, integrand, B * sign * xv / rx, tol)
+    return _diag_contour(xv, eps, integrand, B * sign * xv / rx)
 
 
 def gauge_eps(x: LatticePoint) -> int:
@@ -644,7 +621,7 @@ def frak_C(quad: AdmissibleQuadruple, ctx: QContext, tol: Tolerance = DEFAULT_TO
     B = _PairPlan.build(quad.pair, ctx, tol).B
     num = qpoch_multi([q.q * g / d, q.q * d / g, a * b / (g * d), a * b / (q.q * g * d)], q, tol)
     den = qpoch_multi([a / g, a / d, b / g, b / d], q, tol)
-    return _wrap(-B * num.value / den.value, tol)
+    return EvalResult(-B * num.value / den.value, None)
 
 
 def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext, sign: float,
@@ -718,11 +695,11 @@ def basic_kernel(x, y, quad: AdmissibleQuadruple, ctx: QContext,
     sx = max(abs(h1x), abs(h0x))
     sy = max(abs(h1y), abs(h0y))
     if sx == 0.0 or sy == 0.0:
-        return _wrap(0.0 + 0.0j, tol)
+        return EvalResult(0.0 + 0.0j, None)
     num = (h1x / sx) * (h0y / sy) - (h1y / sy) * (h0x / sx)
     c = frak_C(quad, ctx, tol).value
     val = c * math.exp(lwx + lwy + math.log(sx) + math.log(sy)) * num / (xv - yv)
-    return _wrap(val, tol)
+    return EvalResult(val, None)
 
 
 def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
@@ -747,4 +724,4 @@ def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
         return (_log_weight(z, quad, ctx, sign, tol) - lw_x,
                 (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s))
 
-    return _diag_contour(x, eps, integrand, c * amp, tol)
+    return _diag_contour(x, eps, integrand, c * amp)

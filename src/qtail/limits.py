@@ -113,17 +113,14 @@ def tail_limit_scan(x, y, quad: AdmissibleQuadruple, ctx: QContext, M_max: int,
 class RegimeII:
     """q -> 1 scaling data for the two-line limit.
 
-    The pair exponents c, d and the branch-anchor exponents z_plus,
-    z_minus are held fixed while q -> 1; the anchors are zeta_+ = q^{z+},
-    zeta_- = -q^{z-} and the pair is gamma = q^{c - z+}, delta =
-    q^{d - z+}.  With ``mirrored`` the pair is anchored near the negative
+    The pair exponents c, d are held fixed while q -> 1; the anchors are
+    zeta_+ = 1, zeta_- = -1 and the pair is gamma = q^c, delta = q^d.
+    With ``mirrored`` the pair is -q^c, -q^d, anchored near the negative
     branch instead; scans in that regime are reported without a verdict.
     """
 
     c: float
     d: float
-    z_plus: float = 0.0
-    z_minus: float = 0.0
     mirrored: bool = False
     q_sweep: tuple[float, ...] = (0.8, 0.9, 0.95, 0.99)
 
@@ -135,16 +132,11 @@ class RegimeII:
                 raise DomainError("exponents must lie strictly inside (0, 1)")
 
     def context(self, q: float) -> QContext:
-        return QContext(QParam(q), q ** self.z_plus, -(q ** self.z_minus))
+        return QContext(QParam(q), 1.0, -1.0)
 
     def pair(self, q: float, ctx: QContext) -> AdmissiblePair:
-        if self.mirrored:
-            g = -(q ** (self.c - self.z_minus))
-            d = -(q ** (self.d - self.z_minus))
-        else:
-            g = q ** (self.c - self.z_plus)
-            d = q ** (self.d - self.z_plus)
-        return validate_pair(g, d, ctx)
+        sign = -1.0 if self.mirrored else 1.0
+        return validate_pair(sign * q ** self.c, sign * q ** self.d, ctx)
 
 
 _LINE_TO_SIGN = {1: 1, 2: -1}
@@ -185,21 +177,20 @@ def trig_limit_scan(u: float, v: float, i: int, j: int, regime: RegimeII,
 class RegimeI:
     """q -> 1 scaling data for the discrete sine limit.
 
-    The pair is the conjugate pair gamma = rho e^{i phi}, delta =
+    The pair is the conjugate pair gamma = e^{i phi}, delta =
     conj(gamma); the reference scale s fixes the lattice window through
     m_q = round(ln s / ln q).
     """
 
     phi: float
     s: float = 1.0
-    rho: float = 1.0
     q_sweep: tuple[float, ...] = (0.9, 0.95, 0.99, 0.995)
 
     def __post_init__(self):
         if not 0.0 < self.phi < math.pi:
             raise DomainError("phi must lie in (0, pi)")
-        if self.s <= 0.0 or self.rho <= 0.0:
-            raise DomainError("s and rho must be positive")
+        if self.s <= 0.0:
+            raise DomainError("s must be positive")
 
 
 def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI,
@@ -218,7 +209,7 @@ def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI,
     out = []
     for q in regime.q_sweep:
         ctx = QContext(QParam(q), 1.0, -1.0)
-        g = regime.rho * cmath.exp(1j * regime.phi)
+        g = cmath.exp(1j * regime.phi)
         pair = validate_pair(g, g.conjugate(), ctx)
         m_q = round(math.log(regime.s) / math.log(q))
         x = ctx.point(sign, m_q + m)

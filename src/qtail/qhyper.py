@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ._core import phi21_raw
 from .qspecial import (ABS_FLOOR, DEFAULT_TOL, DomainError, EvalResult, QParam, Tolerance,
-                       qpoch_multi)
+                       _q_power, qpoch_multi)
 
 __all__ = [
     "Phi21Params",
@@ -50,20 +50,9 @@ class Phi21Params:
     q: QParam
 
     def __post_init__(self):
-        if _in_q_power_set(self.b, self.q.q, nonpositive=True):
+        n = _q_power(self.b, self.q.q)
+        if n is not None and n <= 0:
             raise DomainError("b in q^{Z<=0} is a pole of the 2phi1 series")
-
-
-def _in_q_power_set(v: complex, q: float, nonpositive: bool = False, eps: float = 1e-12) -> bool:
-    """Is v within relative eps of some q^n (n <= 0 if nonpositive)?"""
-    v = complex(v)
-    if v == 0 or abs(v.imag) > eps * abs(v) or v.real <= 0:
-        return False
-    t = math.log(v.real) / math.log(q)
-    n = round(t)
-    if nonpositive and n > 0:
-        return False
-    return abs(t - n) < eps
 
 
 def phi21_series(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -132,6 +121,11 @@ def heine_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalR
         inner = _phi21_b_zero_limit(C, z, A * z, q, tol)
     else:
         inner = phi21(Phi21Params(C / B, z, A * z, q), B, tol)
+    return _quotient(num, den, inner)
+
+
+def _quotient(num: EvalResult, den: EvalResult, inner: EvalResult) -> EvalResult:
+    """num / den * inner, with the relative bounds of the three summed."""
     val = num.value / den.value * inner.value
     rel = (
         num.abs_error_bound / max(abs(num.value), ABS_FLOOR)
@@ -167,7 +161,7 @@ def watson_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> Eval
     q = p.q
     if z == 0:
         raise DomainError("Watson's formula requires z != 0 (q/z factors)")
-    if B != 0 and (_in_q_power_set(A / B, q.q) or _in_q_power_set(B / A, q.q)):
+    if B != 0 and (_q_power(A / B, q.q) is not None or _q_power(B / A, q.q) is not None):
         raise DegeneracyError("Watson split degenerates for a1/a2 in q^Z")
 
     def one_term(A, B):
@@ -176,17 +170,10 @@ def watson_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> Eval
         if den.value == 0:
             raise PoleError("Watson prefactor denominator vanishes")
         inner = phi21(Phi21Params(A, A * q.q / C, A * q.q / B, q), C * q.q / (A * B * z), tol)
-        val = num.value / den.value * inner.value
-        rel = (
-            num.abs_error_bound / max(abs(num.value), ABS_FLOOR)
-            + den.abs_error_bound / max(abs(den.value), ABS_FLOOR)
-            + inner.abs_error_bound / max(abs(inner.value), ABS_FLOOR)
-        )
-        return val, abs(val) * rel
+        return _quotient(num, den, inner)
 
-    v1, e1 = one_term(A, B)
-    v2, e2 = one_term(B, A)
-    return EvalResult(v1 + v2, e1 + e2)
+    t1, t2 = one_term(A, B), one_term(B, A)
+    return EvalResult(t1.value + t2.value, t1.abs_error_bound + t2.abs_error_bound)
 
 
 def qdiff_residual(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:

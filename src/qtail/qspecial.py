@@ -7,8 +7,10 @@ Conventions (fixed throughout the package):
     theta3(z; q) = sum_{n in Z} z^n q^{n^2/2}
 
 Note theta3 uses nome parameter q^{1/2} relative to the textbook convention.
-Functions that return an EvalResult carry a truncation-tail bound in it;
-log_theta and theta_logderiv return a plain complex.
+theta, log_theta and theta_logderiv first write z = q^n w with w on the
+annulus sqrt(q) <= |w| < 1/sqrt(q); ``_q_power`` is the package's one test
+for v in q^Z.  Functions that return an EvalResult carry a truncation-tail
+bound in it; log_theta and theta_logderiv return a plain complex.
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of a series/product evaluation plus a truncation tail bound."""
+    """A value and an absolute bound on its error: the truncation tail of
+    the series and products here and in qhyper, and None for every kernel
+    value, for which no bound has been derived."""
 
     value: complex
-    abs_error_bound: float
+    abs_error_bound: float | None
 
     def __complex__(self) -> complex:
         return complex(self.value)
@@ -118,11 +122,15 @@ def _reduce_to_annulus(z: complex, q: float) -> tuple[complex, int]:
     return z * q ** (-n), n
 
 
-def _is_on_q_lattice(z: complex, q: float, eps: float = 1e-12) -> bool:
-    if z.real <= 0.0 or abs(z.imag) > eps * abs(z):
-        return False
-    t = math.log(z.real) / math.log(q)
-    return abs(t - round(t)) < eps
+def _q_power(v: complex, q: float, eps: float = 1e-12) -> int | None:
+    """The n with v within relative eps of q^n, or None; v = 0 and every v
+    off the positive axis give None."""
+    v = complex(v)
+    if v.real <= 0.0 or abs(v.imag) > eps * abs(v):
+        return None
+    t = math.log(v.real) / math.log(q)
+    n = round(t)
+    return n if abs(t - n) < eps else None
 
 
 def theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -134,7 +142,7 @@ def theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     z = complex(z)
     if z == 0:
         raise DomainError("theta_q is undefined at z = 0")
-    if _is_on_q_lattice(z, q.q):
+    if _q_power(z, q.q) is not None:
         return EvalResult(0.0, 0.0)
     w, n = _reduce_to_annulus(z, q.q)
     v1, e1 = qpoch_raw(w, q.q, tol.cut)
@@ -170,7 +178,7 @@ def log_theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
     exponentials of these logs are meaningful.
     """
     z = complex(z)
-    if z == 0 or _is_on_q_lattice(z, q.q):
+    if z == 0 or _q_power(z, q.q) is not None:
         raise DomainError("log theta undefined at a zero of theta")
     w, n = _reduce_to_annulus(z, q.q)
     l1, _ = logqpoch_raw(w, q.q, tol.cut)
@@ -182,15 +190,20 @@ def log_theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
 
 
 def theta_logderiv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
-    """theta_q'(z) / theta_q(z): the divided difference rho(z, z) of
-    theta(a)/theta(b)."""
+    """L(z) = theta_q'(z) / theta_q(z), with argument reduction z = q^n w:
+    L(z) = q^-n (L(w) - n / w), and L(w) is the divided difference rho(w, w)
+    of theta(a)/theta(b)."""
     z = complex(z)
-    if z == 0 or _is_on_q_lattice(z, q.q):
+    if z == 0 or _q_power(z, q.q) is not None:
         raise DomainError("theta log-derivative undefined on q^Z and at 0")
-    # the loop runs until q^i max(|z|, 1/|z|) <= cut and has no cap of its own
-    if math.log(tol.cut / max(abs(z), 1.0 / abs(z))) / math.log(q.q) > _MAX_ITER:
+    w, n = _reduce_to_annulus(z, q.q)
+    if n == 0:
+        w = z  # z * 1.0 can flip the sign of a zero part
+    # the loop runs until q^i max(|w|, 1/|w|) <= cut and has no cap of its own
+    if math.log(tol.cut / max(abs(w), 1.0 / abs(w))) / math.log(q.q) > _MAX_ITER:
         raise ArithmeticError("theta log-derivative did not converge")
-    return theta_ratio_dd_raw(z, z, q.q, tol.cut)[0]
+    L = theta_ratio_dd_raw(w, w, q.q, tol.cut)[0]
+    return L if n == 0 else q.q ** -n * (L - n / w)
 
 
 def theta_deriv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
@@ -202,9 +215,9 @@ def theta_deriv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResu
     z = complex(z)
     if z == 0:
         raise DomainError("theta_q' undefined at z = 0")
-    if _is_on_q_lattice(z, q.q):
+    n = _q_power(z, q.q)
+    if n is not None:
         # simple zero at q^n: theta'(q^n) = (-1)^n q^{-n(n+1)/2} theta'(1)
-        n = round(math.log(z.real) / math.log(q.q))
         r = qpoch_inf(q.q, q, tol)
         fac = (-1) ** n * q.q ** (-0.5 * n * (n + 1))
         val = -fac * r.value * r.value

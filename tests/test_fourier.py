@@ -15,9 +15,7 @@ from qtail import (
     QParam,
     Tolerance,
     closed_diag,
-    closed_mm,
-    closed_pm,
-    closed_pp,
+    elliptic_kernel,
     fourier_closed,
     fourier_lemma_form,
     fourier_series,
@@ -306,11 +304,11 @@ class TestPlanLaziness:
         monkeypatch.setattr(kernels, "theta_ratio_dd_raw", counting)
         for sign in (1, -1):
             closed_diag(sign, pair, ctx)
-        closed_pp(2, -1, pair, ctx)
-        closed_mm(0, 3, pair, ctx)
+        elliptic_kernel(ctx.point(1, 2), ctx.point(1, -1), pair, ctx)
+        elliptic_kernel(ctx.point(-1, 0), ctx.point(-1, 3), pair, ctx)
         assert calls == []
-        closed_pm(1, 0, pair, ctx)
-        closed_pm(-2, 4, pair, ctx)
+        elliptic_kernel(ctx.point(1, 1), ctx.point(-1, 0), pair, ctx)
+        elliptic_kernel(ctx.point(-1, 4), ctx.point(1, -2), pair, ctx)
         assert len(calls) == 2
 
 

@@ -20,8 +20,6 @@ from qtail import (
     Tolerance,
     basic_kernel,
     closed_diag,
-    closed_pm,
-    closed_pp,
     elliptic_diag_contour,
     elliptic_kernel,
     frak_C,
@@ -144,7 +142,7 @@ class TestValidation:
         assert plus == minus and hash(plus) == hash(minus)
 
         def entries(pair):
-            return _bits([closed_pm(m, n, pair, ctx).value
+            return _bits([elliptic_kernel(ctx.point(1, m), ctx.point(-1, n), pair, ctx).value
                           for m in range(-6, 7) for n in range(-6, 7)])
 
         first = [entries(plus), entries(minus)]
@@ -346,6 +344,25 @@ class TestBasicKernel:
             basic_kernel(ctx.point(1, 10), ctx.point(1, 11), quad, ctx)
 
 
+def test_kernel_results_carry_no_bound(ctx, pair, quad):
+    """No error bound has been derived for a kernel value, so none is given."""
+    x, y = ctx.point(1, 0), ctx.point(-1, 1)
+    results = [
+        C_elliptic(pair, ctx),
+        closed_diag(1, pair, ctx),
+        elliptic_kernel(x, x, pair, ctx),
+        elliptic_kernel(x, y, pair, ctx),
+        elliptic_kernel(0.77, -0.3, pair, ctx),
+        elliptic_diag_contour(x, pair, ctx),
+        tilde_kernel(x, y, pair, ctx),
+        hat_kernel(x, y, pair, ctx),
+        frak_C(quad, ctx),
+        basic_kernel(x, y, quad, ctx),
+        basic_kernel(x, x, quad, ctx),
+    ]
+    assert [r.abs_error_bound for r in results] == [None] * len(results)
+
+
 def _ring_by_ring(x, eps, integrand, pref):
     """The contour diagonal with every ring evaluated at all of its nodes."""
     prev = None
@@ -386,7 +403,7 @@ class TestDiagContour:
     def test_each_node_is_evaluated_once(self):
         # sqrt(w(z)/w(x)) = z/x, so the integral is pref d/dz (z/x) = pref/x
         integrand, calls = self._integrand(lambda z: 1.0)
-        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL).value
+        got = _diag_contour(self.X, self.EPS, integrand, self.PREF).value
         assert len(calls) == 128
         assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
         assert abs(got - self.PREF / self.X) < 1e-14
@@ -394,7 +411,7 @@ class TestDiagContour:
     def test_unconverged_rings_reuse_nodes(self):
         # |z - x - eps| is not analytic, so no two rings agree to 1e-10
         integrand, calls = self._integrand(lambda z: abs(z - self.X - self.EPS))
-        got = _diag_contour(self.X, self.EPS, integrand, self.PREF, DEFAULT_TOL).value
+        got = _diag_contour(self.X, self.EPS, integrand, self.PREF).value
         assert len(calls) == _NODE_LIMIT
         assert len(set(calls)) == _NODE_LIMIT
         assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
@@ -404,9 +421,9 @@ class TestPairPlanCache:
     def test_second_call_repeats_first_bitwise(self, ctx, pair, cold_caches):
         def calls():
             return _bits([
-                closed_pp(2, -1, pair, ctx).value,
-                closed_pm(1, 3, pair, ctx).value,
-                closed_pm(-2, 0, pair, ctx).value,
+                elliptic_kernel(ctx.point(1, 2), ctx.point(1, -1), pair, ctx).value,
+                elliptic_kernel(ctx.point(1, 1), ctx.point(-1, 3), pair, ctx).value,
+                elliptic_kernel(ctx.point(-1, 0), ctx.point(1, -2), pair, ctx).value,
                 closed_diag(1, pair, ctx).value,
                 closed_diag(-1, pair, ctx).value,
                 C_elliptic(pair, ctx).value,

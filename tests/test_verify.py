@@ -1,7 +1,9 @@
 """Identity residual operations and seeded parameter draws."""
 
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,3 +123,15 @@ class TestRegistry:
         assert code in (EXIT_OK, EXIT_VERIFY_FAIL)
         lines = capsys.readouterr().out.splitlines()
         assert sorted(l.split(":")[0].split("/")[1] for l in lines) == sorted(THRESHOLDS)
+
+    def test_benchmark_thresholds_match(self):
+        """perfbench/spec.py keeps its own copy of these thresholds, so that
+        a change here cannot move what the benchmark accepts unseen; the
+        checks both name must agree."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+        loader = importlib.util.spec_from_file_location("perfbench_spec", path)
+        spec = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(spec)
+        shared = sorted(THRESHOLDS.keys() & spec.THRESHOLDS.keys())
+        assert len(shared) == 14
+        assert {k: spec.THRESHOLDS[k] for k in shared} == {k: THRESHOLDS[k] for k in shared}
