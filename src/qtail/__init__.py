@@ -9,11 +9,9 @@ associated determinantal point processes.
 __version__ = "0.1.0"
 
 from .qspecial import (
-    DEFAULT_TOL,
     DomainError,
     EvalResult,
     QParam,
-    Tolerance,
     jacobi_imaginary_rhs,
     log_theta,
     qpoch_inf,

@@ -4,8 +4,8 @@ Five product loops: q-Pochhammer, its log, and the divided differences
 rho of theta(a)/theta(b), [theta] and [z theta'/theta]; the theta
 log-derivative is rho at a = b.  Beside them the 2phi1 partial sums and
 theta3.  All functions are scalar and return plain tuples; argument
-reduction and the choice of cut-offs live in the callers (``qspecial``,
-``qhyper``, ``kernels``, ``fourier``).
+reduction lives in the callers (``qspecial``, ``qhyper``, ``kernels``,
+``fourier``), which pass ``qspecial.CUT`` as the cut-off.
 """
 
 import cmath

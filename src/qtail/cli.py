@@ -48,7 +48,7 @@ from .limits import (
     trig_kernel,
     trig_limit_scan,
 )
-from .qspecial import DEFAULT_TOL, DomainError, QParam, Tolerance
+from .qspecial import DomainError, QParam
 from .verify import SUITES, apply_thresholds
 
 SCHEMA_VERSION = 1
@@ -94,11 +94,6 @@ def parse_point(s: str) -> LatticePoint:
         return LatticePoint(sign, int(k_s))
     except (ValueError, KeyError) as exc:
         raise DomainError(f"bad lattice point {s!r}; expected '+:k' or '-:k'") from exc
-
-
-def _tolerance(args) -> Tolerance:
-    """``--tol`` if given (values outside (0, 1) raise), else the default."""
-    return DEFAULT_TOL if args.tol is None else Tolerance(rel_tol=args.tol)
 
 
 def _require(args, flags) -> None:
@@ -161,7 +156,6 @@ _EVAL_NEEDS = {
 
 
 def cmd_eval(args) -> int:
-    tol = _tolerance(args)
     kind = args.kind
     _require(args, _EVAL_NEEDS[kind])
     if kind in ("basic", "elliptic", "fourier"):
@@ -169,16 +163,16 @@ def cmd_eval(args) -> int:
     if kind == "basic":
         quad = validate_quadruple(args.alpha, args.beta, args.gamma, args.delta, ctx)
         x, y = parse_point(args.x), parse_point(args.y)
-        r = basic_kernel(x, y, quad, ctx, tol)
+        r = basic_kernel(x, y, quad, ctx)
         value = r.value
     elif kind == "elliptic":
         pair = validate_pair(args.gamma, args.delta, ctx)
         x, y = parse_point(args.x), parse_point(args.y)
-        r = elliptic_kernel(x, y, pair, ctx, tol)
+        r = elliptic_kernel(x, y, pair, ctx)
         value = r.value
     elif kind == "fourier":
         pair = validate_pair(args.gamma, args.delta, ctx)
-        M = fourier_closed(args.eta, pair, ctx, tol)
+        M = fourier_closed(args.eta, pair, ctx)
         payload = {
             "kind": "fourier",
             "eta": args.eta,
@@ -206,7 +200,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.seed < 0:
         raise DomainError("seed must be a non-negative integer")
@@ -215,7 +208,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for name in names:
-        for check, worst, thresh, passed in apply_thresholds(SUITES[name](rng, args.draws, tol)):
+        for check, worst, thresh, passed in apply_thresholds(SUITES[name](rng, args.draws)):
             rows.append({"suite": name, "check": check, "max_residual": worst,
                          "threshold": thresh, "passed": passed})
             print(f"{'PASS' if passed else 'FAIL'} {name}/{check}: "
@@ -233,13 +226,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    tol = _tolerance(args)
     if args.which == "tail":
         _require(args, ("alpha", "beta", "gamma", "delta"))
         ctx = _context(args)
         quad = validate_quadruple(args.alpha, args.beta, args.gamma, args.delta, ctx)
         x, y = parse_point(args.x), parse_point(args.y)
-        scan = tail_limit_scan(x, y, quad, ctx, args.m_max, tol)
+        scan = tail_limit_scan(x, y, quad, ctx, args.m_max)
         rows = [{"M": M, "error": e} for M, e in scan]
         payload = {"schema_version": SCHEMA_VERSION, "scan": "tail", "points": rows}
     elif args.which == "trig":
@@ -247,7 +239,7 @@ def cmd_scan(args) -> int:
             args.q_sweep = list(RegimeII.q_sweep)
         reg = RegimeII(c=args.c, d=args.d, mirrored=args.mirrored,
                        q_sweep=tuple(args.q_sweep))
-        scan = trig_limit_scan(args.u, args.v, args.i, args.j, reg, tol)
+        scan = trig_limit_scan(args.u, args.v, args.i, args.j, reg)
         rows = [{"q": q, "error": e} for q, e in scan]
         payload = {"schema_version": SCHEMA_VERSION, "scan": "trig",
                    "mirrored": args.mirrored, "points": rows}
@@ -255,7 +247,7 @@ def cmd_scan(args) -> int:
         if args.q_sweep is None:
             args.q_sweep = list(RegimeI.q_sweep)
         reg = RegimeI(phi=args.phi, s=args.s, q_sweep=tuple(args.q_sweep))
-        scan = sine_limit_scan(args.m, args.n, args.sign, reg, tol)
+        scan = sine_limit_scan(args.m, args.n, args.sign, reg)
         rows = [{"q": q, "error": e} for q, e in scan]
         payload = {"schema_version": SCHEMA_VERSION, "scan": "sine", "points": rows}
     _output(args, payload, rows)
@@ -268,14 +260,13 @@ def cmd_scan(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    tol = _tolerance(args)
     ctx = _context(args)
     pair = validate_pair(args.gamma, args.delta, ctx)
     points = tuple(parse_point(s) for s in args.points.split(","))
     window = Window(points)
 
     def kern(x, y):
-        return elliptic_kernel(x, y, pair, ctx, tol).value
+        return elliptic_kernel(x, y, pair, ctx).value
 
     cfg = SampleConfig(n_samples=args.draws, seed=args.seed)
     samples = sample_window(window, kern, cfg)
@@ -302,7 +293,6 @@ def cmd_sample(args) -> int:
 def _add_common(p):
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None, help="output file (manifest sidecar added)")
-    p.add_argument("--tol", type=finite_float, default=None, help="relative tolerance")
 
 
 def _add_lattice(p, q=None, required=False, params=("gamma", "delta", "alpha", "beta")):

@@ -110,7 +110,6 @@ def sample_window(window: Window, kernel: Kernel, cfg: SampleConfig) -> list[tup
     """
     K = kernel_matrix(window.points, kernel)
     lam, V = _validated_eigh(K)
-    n = len(window)
     out = []
     for s in range(cfg.n_samples):
         rng = np.random.default_rng([cfg.seed, s])
@@ -119,7 +118,11 @@ def sample_window(window: Window, kernel: Kernel, cfg: SampleConfig) -> list[tup
         chosen: list[int] = []
         for _ in range(int(keep.sum())):
             probs = np.clip(P.diagonal().real, 0.0, None)
-            i = int(rng.choice(n, p=probs / probs.sum()))
+            # the draw rng.choice(len(probs), p=probs / probs.sum()) makes,
+            # without its checks of p: one uniform against the cumulative sum
+            cdf = np.cumsum(probs / probs.sum())
+            cdf /= cdf[-1]
+            i = int(cdf.searchsorted(rng.random(), side="right"))
             chosen.append(i)
             # condition on a point at i: Schur complement of the pivot P_ii
             P = P - np.outer(P[:, i], P[i, :] / P[i, i])

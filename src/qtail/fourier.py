@@ -24,7 +24,7 @@ import numpy as np
 
 from ._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .kernels import AdmissiblePair, QContext, _PairPlan
-from .qspecial import DEFAULT_TOL, Tolerance, theta, theta_multi
+from .qspecial import CUT, REL_TOL, theta, theta_multi
 
 __all__ = [
     "truncation_order",
@@ -46,17 +46,16 @@ def truncation_order(pair: AdmissiblePair, ctx: QContext, tol: float) -> int:
     return int(math.ceil(math.log(tol) / math.log(rho))) + 10
 
 
-def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
-                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Truncated lattice sum, dropping terms below tol.rel_tol / 10.
+def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:
+    """Truncated lattice sum, dropping terms below REL_TOL / 10.
 
     The gauged kernel is q-shift invariant, so eta enters only through
     e^{i eta m}: the pair plan's lattice coefficients (computed once per
     pair and truncation order) are combined with cos(eta m) and
     e^{i eta m}.
     """
-    M = truncation_order(pair, ctx, tol.rel_tol / 10)
-    dp, dm, a, pm, mp = _PairPlan.build(pair, ctx, tol).lattice(M)
+    M = truncation_order(pair, ctx, REL_TOL / 10)
+    dp, dm, a, pm, mp = _PairPlan.build(pair, ctx).lattice(M)
     m = np.arange(-M, M + 1)
     e = np.exp(1j * eta * m)
     # same-branch entries: the diagonal plus 2 cos(eta m) times the signed
@@ -66,21 +65,20 @@ def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext,
     return np.array([[dp + same, e @ pm], [e @ mp, dm - same]], dtype=complex)
 
 
-def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
-                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:
     """Closed product form: each entry is a ratio of theta products in
     e^{i eta} times an eta-independent prefactor from the pair plan."""
     q = ctx.q
     qv = q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    s, pp_pref, mm_pref, cross_pref = _PairPlan.build(pair, ctx, tol).closed_prefactors
+    s, pp_pref, mm_pref, cross_pref = _PairPlan.build(pair, ctx).closed_prefactors
     e = cmath.exp(1j * eta)
-    den = theta_multi([-e * qv * s / g, -e * qv * s / d], q, tol).value
+    den = theta_multi([-e * qv * s / g, -e * qv * s / d], q).value
     # q, zeta_+-, s are real, so theta(-e^{-i eta} zeta s) is the conjugate
     # of theta(-e^{i eta} zeta s), bit for bit
-    tp = theta(-e * zp * s, q, tol).value
-    tm = theta(-e * zm * s, q, tol).value
+    tp = theta(-e * zp * s, q).value
+    tm = theta(-e * zm * s, q).value
     pp = pp_pref * (tp * tp.conjugate()) / den
     mm = mm_pref * (tm * tm.conjugate()) / den
     pm = cross_pref * (tp * tm.conjugate()) / den
@@ -88,38 +86,36 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext,
     return np.array([[pp, pm], [mp, mm]], dtype=complex)
 
 
-def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext,
-                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:
     """Theta log-derivative form of the same matrix (summed term by term
     via the two classical bilateral summation formulas)."""
-    qv, cut = ctx.q.q, tol.cut
+    qv = ctx.q.q
     g, d = pair.gamma, pair.delta
-    plan = _PairPlan.build(pair, ctx, tol)
+    plan = _PairPlan.build(pair, ctx)
     pp0, mm0, sq, h, eps, r2, E, pref, th_gpdm = plan.lemma_prefactors
     e = cmath.exp(1j * eta)
     a_g, a_d = -e * sq / g, -e * sq / d
     # the eta terms enter with sign opposite to F(z) = z theta'(z)/theta(z):
     # C (F(a_d) - F(a_g)) = B e sq h [F](a_g, a_d)
-    t = plan.B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv, cut)[0]
+    t = plan.B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv, CUT)[0]
     # pm = -pref/B C (X(gamma, delta) - X(delta, gamma)), X(gamma, delta) =
     # th_gpdm theta(b_g)/theta(a_g).  E <- E + k (1 + eps E) carries (product
     # - 1)/eps over the factors 1 + eps k of the ratio of the two X but
     # theta(b_d)/theta(b_g), taken as a divided difference: theta(b_g) may be 0.
-    k = -e * sq * h * theta_ratio_dd_raw(a_g, a_d, qv, cut)[0]
+    k = -e * sq * h * theta_ratio_dd_raw(a_g, a_d, qv, CUT)[0]
     E += k * (1.0 + eps * E)
     # [theta](b_d, b_g)/theta(a_g) and theta(b_g)/theta(a_g)
-    dd_b, r_b, _ = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv, cut)
+    dd_b, r_b, _ = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv, CUT)
     Z = th_gpdm * (r_b * E - (1.0 + eps * E) * e * r2 * sq * h * dd_b)
     # mp is pm at e^{-i eta} (by theta(z) = theta(q/z)), which for a real
     # pair or one stored with delta = conj(gamma) makes its Z conj(Z).
     return np.array([[pp0 + t, pref * Z], [pref * Z.conjugate(), mm0 - t]], dtype=complex)
 
 
-def projection_report(eta: float, pair: AdmissiblePair, ctx: QContext,
-                      tol: Tolerance = DEFAULT_TOL) -> dict:
+def projection_report(eta: float, pair: AdmissiblePair, ctx: QContext) -> dict:
     """How far the closed-form matrix is from a rank-one orthogonal
     projection: Hermitian defect, |det|, |trace - 1|, and ||M^2 - M||."""
-    M = fourier_closed(eta, pair, ctx, tol)
+    M = fourier_closed(eta, pair, ctx)
     herm = float(np.max(np.abs(M - M.conj().T)))
     det = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
     tr = abs(M[0, 0] + M[1, 1] - 1.0)

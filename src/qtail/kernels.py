@@ -31,17 +31,7 @@ import numpy as np
 
 from ._core import logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, phi21
-from .qspecial import (
-    DEFAULT_TOL,
-    DomainError,
-    EvalResult,
-    QParam,
-    Tolerance,
-    log_theta,
-    qpoch_inf,
-    qpoch_multi,
-    theta,
-)
+from .qspecial import CUT, DomainError, EvalResult, QParam, log_theta, qpoch_inf, qpoch_multi, theta
 
 __all__ = [
     "QContext",
@@ -220,8 +210,8 @@ def validate_quadruple(alpha, beta, gamma, delta, ctx: QContext) -> AdmissibleQu
 # ---------------------------------------------------------------------------
 
 
-def _log_qpoch(z: complex, q: QParam, tol: Tolerance) -> complex:
-    val, _ = logqpoch_raw(complex(z), q.q, tol.cut)
+def _log_qpoch(z: complex, q: QParam) -> complex:
+    val, _ = logqpoch_raw(complex(z), q.q, CUT)
     return val
 
 
@@ -246,21 +236,20 @@ def _sinh_quotient(x: int, s: complex, b: float) -> complex:
 @dataclass(frozen=True, eq=False)
 class _PairPlan:
     """Everything the theta-kernel routes need from one pair, built once per
-    (pair, ctx, tol) and kept in the one bounded cache of per-pair work.
+    (pair, ctx) and kept in the one bounded cache of per-pair work.
 
     Each closed form is C times a difference that vanishes at gamma = delta,
     where C has its pole.  The plan holds B = C (delta - gamma), smooth
     there, and writes each product as B times a divided difference, so
     every admissible pair takes one path.  ``build`` evaluates the six log
     thetas and log (q; q)_inf behind B; every other constant (D for the
-    cross entries, the Fourier routes' prefactors, the lattice-sum
-    coefficients) is derived on first use and kept on the plan, so it
-    leaves the cache with the plan.
+    cross entries, the two diagonal values, the Fourier routes' prefactors,
+    the lattice-sum coefficients) is derived on first use and kept on the
+    plan, so it leaves the cache with the plan.
     """
 
     pair: AdmissiblePair
     ctx: QContext
-    tol: Tolerance
     lt_gm: complex  # log theta(gamma zeta_-); lt_gp, lt_dm, lt_dp alike
     lt_gp: complex
     lt_dm: complex
@@ -276,20 +265,21 @@ class _PairPlan:
     half_lr: float
     half_theta4: float  # log sqrt(Theta), Theta = theta(gamma zeta_-+, delta zeta_-+) > 0
     v: complex  # theta(zeta_- delta) theta(zeta_+ gamma) / sqrt(Theta)
+    _diags: dict = field(default_factory=dict, init=False, repr=False)
     _lattices: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     @functools.lru_cache(maxsize=_CACHE_SIZE)
-    def build(cls, pair: AdmissiblePair, ctx: QContext, tol: Tolerance) -> "_PairPlan":
+    def build(cls, pair: AdmissiblePair, ctx: QContext) -> "_PairPlan":
         g, d = pair.gamma, pair.delta
         q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
         lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz = (
-            log_theta(z, q, tol) for z in (g * zm, g * zp, d * zm, d * zp, zm / zp, g * d * zm * zp))
-        lqq = _log_qpoch(q.q, q, tol).real
+            log_theta(z, q) for z in (g * zm, g * zp, d * zm, d * zp, zm / zp, g * d * zm * zp))
+        lqq = _log_qpoch(q.q, q).real
         # B = -theta(g zm, g zp, d zm, d zp)
         #     / (zp theta(zm/zp, g d zm zp) (q g/d, q d/g, q, q; q)_inf)
         logB = lt_gm + lt_gp + lt_dm + lt_dp + 1j * math.pi - math.log(zp) - lt_zz - lt_gdzz
-        logB -= _log_qpoch(q.q * g / d, q, tol) + _log_qpoch(q.q * d / g, q, tol)
+        logB -= _log_qpoch(q.q * g / d, q) + _log_qpoch(q.q * d / g, q)
         logB -= 2.0 * lqq
         half_theta4 = 0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real
         R = math.sqrt((g * d).real)
@@ -298,7 +288,7 @@ class _PairPlan:
         w = cmath.log(g / R)
         kappa = round(w.imag / math.pi)
         return cls(
-            pair, ctx, tol, lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz, lqq,
+            pair, ctx, lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz, lqq,
             B=cmath.exp(logB),
             R=R,
             s=w - 1j * math.pi * kappa,
@@ -312,8 +302,8 @@ class _PairPlan:
     @functools.cached_property
     def rho(self) -> tuple[complex, complex]:
         """rho(delta zeta, gamma zeta) at zeta_+ and at zeta_-."""
-        g, d, qv, cut = self.pair.gamma, self.pair.delta, self.ctx.q.q, self.tol.cut
-        return tuple(theta_ratio_dd_raw(d * zeta, g * zeta, qv, cut)[0]
+        g, d, qv = self.pair.gamma, self.pair.delta, self.ctx.q.q
+        return tuple(theta_ratio_dd_raw(d * zeta, g * zeta, qv, CUT)[0]
                      for zeta in (self.ctx.zeta_plus, self.ctx.zeta_minus))
 
     @functools.cached_property
@@ -388,11 +378,14 @@ class _PairPlan:
 
     def diag(self, sign: int) -> complex:
         """K(zeta q^m, zeta q^m) = sign C (F(delta zeta) - F(gamma zeta))
-        = sign B zeta [F](delta zeta, gamma zeta), F(z) = z theta'(z)/theta(z)."""
-        g, d = self.pair.gamma, self.pair.delta
-        zeta = self.ctx.zeta_plus if sign > 0 else self.ctx.zeta_minus
-        dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q, self.tol.cut)
-        return sign * self.B * zeta * dd
+        = sign B zeta [F](delta zeta, gamma zeta), F(z) = z theta'(z)/theta(z);
+        computed once per sign and kept on the plan."""
+        if sign not in self._diags:
+            g, d = self.pair.gamma, self.pair.delta
+            zeta = self.ctx.zeta_plus if sign > 0 else self.ctx.zeta_minus
+            dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q, CUT)
+            self._diags[sign] = sign * self.B * zeta * dd
+        return self._diags[sign]
 
     def entry(self, x: LatticePoint, y: LatticePoint) -> complex:
         """K(x, y) at two lattice points: ``diag`` on the diagonal, ``same``
@@ -428,60 +421,57 @@ class _PairPlan:
         return self._lattices[M]
 
 
-def log_C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> complex:
+def log_C_elliptic(pair: AdmissiblePair, ctx: QContext) -> complex:
     """log of the theta-kernel normalizing constant C = B / (delta - gamma),
     which has its pole at gamma = delta."""
     if pair.delta == pair.gamma:
         raise DomainError("the constant C has its pole at gamma = delta")
-    return cmath.log(_PairPlan.build(pair, ctx, tol).B) - cmath.log(pair.delta - pair.gamma)
+    return cmath.log(_PairPlan.build(pair, ctx).B) - cmath.log(pair.delta - pair.gamma)
 
 
-def C_elliptic(pair: AdmissiblePair, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
-    return EvalResult(cmath.exp(log_C_elliptic(pair, ctx, tol)), None)
+def C_elliptic(pair: AdmissiblePair, ctx: QContext) -> EvalResult:
+    return EvalResult(cmath.exp(log_C_elliptic(pair, ctx)), None)
 
 
-def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext,
-                     tol: Tolerance) -> complex:
+def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext) -> complex:
     """Quotient form C (P(x)Q(y) - Q(x)P(y))/(x - y); x != y, moderate q.
     With (P, Q)(x) = sqrt(|x|) (theta(x delta), theta(x gamma)) / sqrt(theta(x
     gamma) theta(x delta)), the numerator is (delta - gamma) Q(x) Q(y)
     (x rho(x delta, x gamma) - y rho(y delta, y gamma))."""
     g, d = pair.gamma, pair.delta
-    q, cut = ctx.q, tol.cut
+    q = ctx.q
 
     def side(x: float) -> tuple[complex, complex]:
-        tg = theta(x * g, q, tol).value
-        td = theta(x * d, q, tol).value
+        tg = theta(x * g, q).value
+        td = theta(x * d, q).value
         # the product as theta_multi forms it, signed zeros included: when it
         # is negative real they choose the branch of the square root
         den = cmath.sqrt(complex(1.0) * tg * td)
-        rho, _ = theta_ratio_dd_raw(x * d, x * g, q.q, cut)
+        rho, _ = theta_ratio_dd_raw(x * d, x * g, q.q, CUT)
         return math.sqrt(abs(x)) * tg / den, x * rho
 
     (qx, rx), (qy, ry) = side(float(xv)), side(float(yv))
-    return _PairPlan.build(pair, ctx, tol).B * qx * qy * (rx - ry) / (xv - yv)
+    return _PairPlan.build(pair, ctx).B * qx * qy * (rx - ry) / (xv - yv)
 
 
-def closed_diag(sign: int, pair: AdmissiblePair, ctx: QContext,
-                tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def closed_diag(sign: int, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     """K(zeta_s q^m, zeta_s q^m): independent of m, via theta log-derivatives."""
-    return EvalResult(_PairPlan.build(pair, ctx, tol).diag(sign), None)
+    return EvalResult(_PairPlan.build(pair, ctx).diag(sign), None)
 
 
-def elliptic_kernel(x, y, pair: AdmissiblePair, ctx: QContext,
-                    tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def elliptic_kernel(x, y, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     """The theta kernel; two lattice points take the pair plan's closed forms.
 
     Non-lattice (real or complex, off the singular set) arguments use the
     direct quotient form, which is safe at moderate q.
     """
     if isinstance(x, LatticePoint) and isinstance(y, LatticePoint):
-        return EvalResult(_PairPlan.build(pair, ctx, tol).entry(x, y), None)
+        return EvalResult(_PairPlan.build(pair, ctx).entry(x, y), None)
     xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
     yv = y.value(ctx) if isinstance(y, LatticePoint) else float(y)
     if xv == yv:
         raise DomainError("diagonal off the lattice: use elliptic_diag_contour")
-    return EvalResult(_elliptic_direct(xv, yv, pair, ctx, tol), None)
+    return EvalResult(_elliptic_direct(xv, yv, pair, ctx), None)
 
 
 def _sing_distance(x: float, params, ctx: QContext) -> float:
@@ -543,8 +533,7 @@ def _diag_contour(x: float, eps: float, integrand, pref: complex) -> EvalResult:
     return EvalResult(prev, None)
 
 
-def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
-                          tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     """Diagonal of the theta kernel by the contour integral around x.
 
     Independent of the closed_diag route; used as a cross-check.  The
@@ -558,14 +547,14 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext,
     sign = 1.0 if xv > 0 else -1.0
     eps = 0.5 * _sing_distance(xv, pair, ctx)
     g, d = pair.gamma, pair.delta
-    qv, cut, c = ctx.q.q, tol.cut, xv * g
-    tx, _, rx = theta_dd_raw(xv * d, c, c, qv, cut)  # rx = theta(x delta) / theta(x gamma)
+    qv, c = ctx.q.q, xv * g
+    tx, _, rx = theta_dd_raw(xv * d, c, c, qv, CUT)  # rx = theta(x delta) / theta(x gamma)
 
     def integrand(z: complex) -> tuple[complex, complex]:
-        t, pg, pd = theta_dd_raw(z * d, z * g, c, qv, cut)
+        t, pg, pd = theta_dd_raw(z * d, z * g, c, qv, CUT)
         return cmath.log(z * rx / (xv * pg * pd)), z * t - xv * pg * tx
 
-    B = _PairPlan.build(pair, ctx, tol).B
+    B = _PairPlan.build(pair, ctx).B
     return _diag_contour(xv, eps, integrand, B * sign * xv / rx)
 
 
@@ -580,23 +569,22 @@ def gauge_nu(x: LatticePoint) -> int:
     return (-1) ** x.k if x.sign > 0 else 1
 
 
-def tilde_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QContext,
-                 tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def tilde_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair,
+                 ctx: QContext) -> EvalResult:
     """eps-gauged theta kernel; q-translation-invariant."""
-    r = elliptic_kernel(x, y, pair, ctx, tol)
+    r = elliptic_kernel(x, y, pair, ctx)
     s = gauge_eps(x) * gauge_eps(y)
     return EvalResult(s * r.value, r.abs_error_bound)
 
 
-def hat_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QContext,
-               tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def hat_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     """Particle-hole involution of the gauged theta kernel on the positive
     branch.
 
     With bK = nu(x) nu(y) K: delta_{xy} - bK on (+,+), -bK on (-,+), and
     +bK whenever y lies on the negative branch.
     """
-    r = elliptic_kernel(x, y, pair, ctx, tol)
+    r = elliptic_kernel(x, y, pair, ctx)
     bold = gauge_nu(x) * gauge_nu(y) * r.value
     if y.sign < 0:
         return EvalResult(bold, r.abs_error_bound)
@@ -610,7 +598,7 @@ def hat_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QCon
 # ---------------------------------------------------------------------------
 
 
-def frak_C(quad: AdmissibleQuadruple, ctx: QContext, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def frak_C(quad: AdmissibleQuadruple, ctx: QContext) -> EvalResult:
     """Normalizing constant of the four-parameter kernel, -B (q gamma/delta,
     q delta/gamma, alpha beta/(gamma delta), alpha beta/(q gamma delta);
     q)_inf / (alpha/gamma, alpha/delta, beta/gamma, beta/delta; q)_inf with
@@ -618,14 +606,13 @@ def frak_C(quad: AdmissibleQuadruple, ctx: QContext, tol: Tolerance = DEFAULT_TO
     theta part the pair plan keeps in log space."""
     a, b, g, d = quad.alpha, quad.beta, quad.gamma, quad.delta
     q = ctx.q
-    B = _PairPlan.build(quad.pair, ctx, tol).B
-    num = qpoch_multi([q.q * g / d, q.q * d / g, a * b / (g * d), a * b / (q.q * g * d)], q, tol)
-    den = qpoch_multi([a / g, a / d, b / g, b / d], q, tol)
+    B = _PairPlan.build(quad.pair, ctx).B
+    num = qpoch_multi([q.q * g / d, q.q * d / g, a * b / (g * d), a * b / (q.q * g * d)], q)
+    den = qpoch_multi([a / g, a / d, b / g, b / d], q)
     return EvalResult(-B * num.value / den.value, None)
 
 
-def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext, sign: float,
-                tol: Tolerance) -> complex:
+def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext, sign: float) -> complex:
     """log of (sign*z)(z alpha, z beta; q)_inf / theta(z gamma, z delta).
 
     Meaningful modulo 2 pi i; the weight itself is positive on the lattice,
@@ -633,77 +620,73 @@ def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext, sign: floa
     """
     q = ctx.q
     out = cmath.log(sign * z)
-    out += _log_qpoch(z * quad.alpha, q, tol) + _log_qpoch(z * quad.beta, q, tol)
-    out -= log_theta(z * quad.gamma, q, tol) + log_theta(z * quad.delta, q, tol)
+    out += _log_qpoch(z * quad.alpha, q) + _log_qpoch(z * quad.beta, q)
+    out -= log_theta(z * quad.gamma, q) + log_theta(z * quad.delta, q)
     return out
 
 
-def _h_direct(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext,
-              tol: Tolerance) -> complex:
+def _h_direct(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext) -> complex:
     """Meromorphic part of the building function (common sqrt weight removed)."""
     a, b, g, d = quad.alpha, quad.beta, quad.gamma, quad.delta
     q = ctx.q
     qr = q.q ** r
-    num = qpoch_multi([b * qr / (q.q * g), qr / (d * z)], q, tol).value
-    den = qpoch_inf(a * b * qr * qr / (q.q ** 2 * g * d), q, tol).value
+    num = qpoch_multi([b * qr / (q.q * g), qr / (d * z)], q).value
+    den = qpoch_inf(a * b * qr * qr / (q.q ** 2 * g * d), q).value
     p = Phi21Params(a * qr / (q.q * d), q.q / (b * z), qr / (d * z), q)
-    return (-z) ** (1 - r) * num / den * phi21(p, b * qr / (q.q * g), tol).value
+    return (-z) ** (1 - r) * num / den * phi21(p, b * qr / (q.q * g)).value
 
 
-def _h_transformed(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext,
-                   tol: Tolerance) -> complex:
+def _h_transformed(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext) -> complex:
     """Two-term representation of the meromorphic part; stable for small |z|."""
     a, b, g, d = quad.alpha, quad.beta, quad.gamma, quad.delta
     q = ctx.q
     qr = q.q ** r
 
     def term(g1, d1):
-        num = qpoch_multi([b * qr / (q.q * g1), a * qr / (q.q * g1)], q, tol).value
-        den = qpoch_inf(d1 / g1, q, tol).value
+        num = qpoch_multi([b * qr / (q.q * g1), a * qr / (q.q * g1)], q).value
+        den = qpoch_inf(d1 / g1, q).value
         if abs(den) < 1e-13:
             raise DegeneracyError("two-term split degenerates for delta/gamma in q^Z")
-        th = theta(z * d1 * q.q ** (1 - r), q, tol).value
+        th = theta(z * d1 * q.q ** (1 - r), q).value
         p = Phi21Params(b * qr / (q.q * d1), g1 * q.q ** (2 - r) / a, g1 * q.q / d1, q)
-        return num / den * th * phi21(p, a * z, tol).value
+        return num / den * th * phi21(p, a * z).value
 
     pref = (-z) ** (1 - r) / (
-        qpoch_multi([b * z, a * b * qr * qr / (q.q ** 2 * g * d)], q, tol).value
+        qpoch_multi([b * z, a * b * qr * qr / (q.q ** 2 * g * d)], q).value
     )
     return pref * (term(g, d) + term(d, g))
 
 
-def _h(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext, tol: Tolerance) -> complex:
+def _h(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext) -> complex:
     small = abs(z) < ctx.q.q ** 3 * min(ctx.zeta_plus, -ctx.zeta_minus)
-    return (_h_transformed if small else _h_direct)(z, r, quad, ctx, tol)
+    return (_h_transformed if small else _h_direct)(z, r, quad, ctx)
 
 
-def basic_kernel(x, y, quad: AdmissibleQuadruple, ctx: QContext,
-                 tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def basic_kernel(x, y, quad: AdmissibleQuadruple, ctx: QContext) -> EvalResult:
     """The four-parameter kernel at real points of the lattice."""
     xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
     yv = y.value(ctx) if isinstance(y, LatticePoint) else float(y)
     if xv == yv:
-        return _basic_diag(xv, quad, ctx, tol)
+        return _basic_diag(xv, quad, ctx)
     # rescale the meromorphic parts before forming cross products: the
     # individual h values reach ~1e250 at deep lattice exponents while the
     # kernel itself is O(1), so the sqrt-weight logs and the h magnitudes
     # are recombined in log space.
-    lwx = 0.5 * _log_weight(xv, quad, ctx, math.copysign(1.0, xv), tol).real
-    lwy = 0.5 * _log_weight(yv, quad, ctx, math.copysign(1.0, yv), tol).real
-    h1x, h0x = _h(xv, 1, quad, ctx, tol), _h(xv, 0, quad, ctx, tol)
-    h1y, h0y = _h(yv, 1, quad, ctx, tol), _h(yv, 0, quad, ctx, tol)
+    lwx = 0.5 * _log_weight(xv, quad, ctx, math.copysign(1.0, xv)).real
+    lwy = 0.5 * _log_weight(yv, quad, ctx, math.copysign(1.0, yv)).real
+    h1x, h0x = _h(xv, 1, quad, ctx), _h(xv, 0, quad, ctx)
+    h1y, h0y = _h(yv, 1, quad, ctx), _h(yv, 0, quad, ctx)
     sx = max(abs(h1x), abs(h0x))
     sy = max(abs(h1y), abs(h0y))
     if sx == 0.0 or sy == 0.0:
         return EvalResult(0.0 + 0.0j, None)
     num = (h1x / sx) * (h0y / sy) - (h1y / sy) * (h0x / sx)
-    c = frak_C(quad, ctx, tol).value
+    c = frak_C(quad, ctx).value
     val = c * math.exp(lwx + lwy + math.log(sx) + math.log(sy)) * num / (xv - yv)
     return EvalResult(val, None)
 
 
-def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
-                tol: Tolerance) -> EvalResult:
+def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext) -> EvalResult:
     """Diagonal value by the contour integral around x.
 
     The integrand is analytic in the punctured disk around x, so the
@@ -712,16 +695,16 @@ def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext,
     """
     sign = 1.0 if x > 0 else -1.0
     eps = 0.5 * _sing_distance(x, quad, ctx)
-    lw_x = _log_weight(x, quad, ctx, sign, tol)
-    h1x, h0x = _h(x, 1, quad, ctx, tol), _h(x, 0, quad, ctx, tol)
+    lw_x = _log_weight(x, quad, ctx, sign)
+    h1x, h0x = _h(x, 1, quad, ctx), _h(x, 0, quad, ctx)
     s = max(abs(h1x), abs(h0x))
     # weight * h^2 is O(1); recombine the huge magnitudes in log space
     amp = math.exp(lw_x.real + 2.0 * math.log(s))
-    c = frak_C(quad, ctx, tol).value
+    c = frak_C(quad, ctx).value
 
     def integrand(z: complex) -> tuple[complex, complex]:
-        h1z, h0z = _h(z, 1, quad, ctx, tol), _h(z, 0, quad, ctx, tol)
-        return (_log_weight(z, quad, ctx, sign, tol) - lw_x,
+        h1z, h0z = _h(z, 1, quad, ctx), _h(z, 0, quad, ctx)
+        return (_log_weight(z, quad, ctx, sign) - lw_x,
                 (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s))
 
     return _diag_contour(x, eps, integrand, c * amp)

@@ -29,7 +29,7 @@ from .kernels import (
     validate_pair,
     validate_quadruple,
 )
-from .qspecial import DEFAULT_TOL, DomainError, QParam, Tolerance
+from .qspecial import DomainError, QParam
 
 __all__ = [
     "TrigParams",
@@ -91,8 +91,8 @@ def sine_kernel(m: int, n: int, phi: float) -> float:
     return math.sin(phi * (m - n)) / (math.pi * (m - n))
 
 
-def tail_limit_scan(x, y, quad: AdmissibleQuadruple, ctx: QContext, M_max: int,
-                    tol: Tolerance = DEFAULT_TOL) -> list[tuple[int, float]]:
+def tail_limit_scan(x, y, quad: AdmissibleQuadruple, ctx: QContext,
+                    M_max: int) -> list[tuple[int, float]]:
     """|(sgn x sgn y)^M K4(q^M x, q^M y) - K2(x, y)| for M = 0..M_max.
 
     K4 is the four-parameter kernel, K2 the two-parameter theta kernel
@@ -100,11 +100,11 @@ def tail_limit_scan(x, y, quad: AdmissibleQuadruple, ctx: QContext, M_max: int,
     """
     if M_max < 0:
         raise DomainError("M_max must be a non-negative integer")
-    target = elliptic_kernel(x, y, quad.pair, ctx, tol).value
+    target = elliptic_kernel(x, y, quad.pair, ctx).value
     sgn = (1 if x.sign > 0 else -1) * (1 if y.sign > 0 else -1)
     out = []
     for M in range(M_max + 1):
-        k = basic_kernel(x.shift(M), y.shift(M), quad, ctx, tol).value
+        k = basic_kernel(x.shift(M), y.shift(M), quad, ctx).value
         out.append((M, abs(sgn ** M * k - target)))
     return out
 
@@ -142,8 +142,7 @@ class RegimeII:
 _LINE_TO_SIGN = {1: 1, 2: -1}
 
 
-def trig_limit_scan(u: float, v: float, i: int, j: int, regime: RegimeII,
-                    tol: Tolerance = DEFAULT_TOL,
+def trig_limit_scan(u: float, v: float, i: int, j: int, regime: RegimeII, *,
                     snap_target: bool = False) -> list[tuple[float, float]]:
     """|r^{-1} hat K(zeta_i q^m, zeta_j q^n) - Ktrig_{ij}(u, v)| over the
     q-sweep, with r = -ln q, m = floor(u/r), n = floor(v/r).
@@ -166,7 +165,7 @@ def trig_limit_scan(u: float, v: float, i: int, j: int, regime: RegimeII,
         n = math.floor(v / r)
         x = ctx.point(_LINE_TO_SIGN[i], m)
         y = ctx.point(_LINE_TO_SIGN[j], n)
-        val = hat_kernel(x, y, pair, ctx, tol).value / r
+        val = hat_kernel(x, y, pair, ctx).value / r
         if snap_target:
             target = trig_kernel((i, m * r), (j, n * r), tp)
         out.append((q, abs(val - target)))
@@ -193,8 +192,7 @@ class RegimeI:
             raise DomainError("s must be positive")
 
 
-def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI,
-                    tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
+def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI) -> list[tuple[float, float]]:
     """|K(zeta q^{m_q + m}, zeta q^{m_q + n}) - Ksine(m, n)| over the
     q-sweep; the limit phase is pi - phi on the positive branch and phi on
     the negative one.
@@ -214,6 +212,6 @@ def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI,
         m_q = round(math.log(regime.s) / math.log(q))
         x = ctx.point(sign, m_q + m)
         y = ctx.point(sign, m_q + n)
-        val = elliptic_kernel(x, y, pair, ctx, tol).value
+        val = elliptic_kernel(x, y, pair, ctx).value
         out.append((q, abs(val - target)))
     return out

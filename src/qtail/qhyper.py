@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._core import phi21_raw
-from .qspecial import (ABS_FLOOR, DEFAULT_TOL, DomainError, EvalResult, QParam, Tolerance,
-                       _q_power, qpoch_multi)
+from .qspecial import ABS_FLOOR, CUT, DomainError, EvalResult, QParam, _q_power, qpoch_multi
 
 __all__ = [
     "Phi21Params",
@@ -55,18 +54,18 @@ class Phi21Params:
             raise DomainError("b in q^{Z<=0} is a pole of the 2phi1 series")
 
 
-def phi21_series(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def phi21_series(p: Phi21Params, z: complex) -> EvalResult:
     """Direct partial sums; requires |z| < 1."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"2phi1 series requires |z| < 1, got |z| = {abs(z):.3g}")
-    val, tail, n = phi21_raw(p.a1, p.a2, p.b, z, p.q.q, tol.cut, MAX_TERMS)
+    val, tail, n = phi21_raw(p.a1, p.a2, p.b, z, p.q.q, CUT, MAX_TERMS)
     if n >= MAX_TERMS:
         raise ArithmeticError("2phi1 series did not converge")
     return EvalResult(val, tail)
 
 
-def phi21(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def phi21(p: Phi21Params, z: complex) -> EvalResult:
     """2phi1 continued to the plane minus the poles q^{-k}, k >= 0.
 
     For |z| < 0.75 the series is used directly; otherwise the q-difference
@@ -75,7 +74,7 @@ def phi21(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResul
     z = complex(z)
     q = p.q.q
     if abs(z) < CONT_RADIUS:
-        return phi21_series(p, z, tol)
+        return phi21_series(p, z)
     # pole exclusion around q^{-k}
     if z.real > 0 and abs(z.imag) < POLE_EXCLUSION * abs(z):
         t = math.log(abs(z)) / math.log(q)
@@ -87,8 +86,8 @@ def phi21(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResul
     while abs(w) >= CONT_RADIUS:
         w *= q
         K += 1
-    f1 = phi21_series(p, w, tol)          # F(q^K z)
-    f2 = phi21_series(p, w * q, tol)      # F(q^{K+1} z)
+    f1 = phi21_series(p, w)      # F(q^K z)
+    f2 = phi21_series(p, w * q)  # F(q^{K+1} z)
     err = f1.abs_error_bound + f2.abs_error_bound
     fk, fk1 = f1.value, f2.value          # F at q^k z, q^{k+1} z
     a1, a2, b = p.a1, p.a2, p.b
@@ -104,7 +103,7 @@ def phi21(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResul
     return EvalResult(fk, err)
 
 
-def heine_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def heine_rhs(p: Phi21Params, z: complex) -> EvalResult:
     """Heine-transformed representation of 2phi1(a1, a2; b | z).
 
     Equals (a2, a1 z; q)_inf / (b, z; q)_inf * 2phi1(b/a2, z; a1 z | a2).
@@ -113,14 +112,14 @@ def heine_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalR
     z = complex(z)
     A, B, C = p.a1, p.a2, p.b
     q = p.q
-    num = qpoch_multi([B, A * z], q, tol)
-    den = qpoch_multi([C, z], q, tol)
+    num = qpoch_multi([B, A * z], q)
+    den = qpoch_multi([C, z], q)
     if den.value == 0:
         raise PoleError("Heine prefactor denominator vanishes")
     if abs(B) < 1e-14:
-        inner = _phi21_b_zero_limit(C, z, A * z, q, tol)
+        inner = _phi21_b_zero_limit(C, z, A * z, q)
     else:
-        inner = phi21(Phi21Params(C / B, z, A * z, q), B, tol)
+        inner = phi21(Phi21Params(C / B, z, A * z, q), B)
     return _quotient(num, den, inner)
 
 
@@ -135,7 +134,7 @@ def _quotient(num: EvalResult, den: EvalResult, inner: EvalResult) -> EvalResult
     return EvalResult(val, abs(val) * rel)
 
 
-def _phi21_b_zero_limit(C, z, b, q: QParam, tol: Tolerance) -> EvalResult:
+def _phi21_b_zero_limit(C, z, b, q: QParam) -> EvalResult:
     """lim_{B->0} 2phi1(C/B, z; b | B) = sum_n (-C)^n q^{n(n-1)/2} (z;q)_n / ((b;q)_n (q;q)_n)."""
     total = complex(1.0)
     term = complex(1.0)
@@ -145,12 +144,12 @@ def _phi21_b_zero_limit(C, z, b, q: QParam, tol: Tolerance) -> EvalResult:
         term *= (-C) * qn * (1.0 - z * qn) / ((1.0 - b * qn) * (1.0 - qq * qn))
         qn *= qq
         total += term
-        if abs(term) < tol.cut and n > 2:
+        if abs(term) < CUT and n > 2:
             break
     return EvalResult(total, abs(term))
 
 
-def watson_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def watson_rhs(p: Phi21Params, z: complex) -> EvalResult:
     """Watson's two-term transformation of 2phi1(a1, a2; b | z).
 
     Degenerates (vanishing (a1/a2; q)_inf-type denominators) when a1/a2 is
@@ -165,18 +164,18 @@ def watson_rhs(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> Eval
         raise DegeneracyError("Watson split degenerates for a1/a2 in q^Z")
 
     def one_term(A, B):
-        num = qpoch_multi([B, C / A, A * z, q.q / (A * z)], q, tol)
-        den = qpoch_multi([C, B / A, z, q.q / z], q, tol)
+        num = qpoch_multi([B, C / A, A * z, q.q / (A * z)], q)
+        den = qpoch_multi([C, B / A, z, q.q / z], q)
         if den.value == 0:
             raise PoleError("Watson prefactor denominator vanishes")
-        inner = phi21(Phi21Params(A, A * q.q / C, A * q.q / B, q), C * q.q / (A * B * z), tol)
+        inner = phi21(Phi21Params(A, A * q.q / C, A * q.q / B, q), C * q.q / (A * B * z))
         return _quotient(num, den, inner)
 
     t1, t2 = one_term(A, B), one_term(B, A)
     return EvalResult(t1.value + t2.value, t1.abs_error_bound + t2.abs_error_bound)
 
 
-def qdiff_residual(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def qdiff_residual(p: Phi21Params, z: complex) -> tuple[float, float]:
     """Residual of the q-difference equation at z, and the term scale.
 
     Returns (|LHS|, max term magnitude); |LHS| / scale should vanish for a
@@ -184,8 +183,8 @@ def qdiff_residual(p: Phi21Params, z: complex, tol: Tolerance = DEFAULT_TOL) -> 
     """
     z = complex(z)
     a1, a2, b, q = p.a1, p.a2, p.b, p.q.q
-    t1 = (b - a1 * a2 * q * z) * phi21(p, q * q * z, tol).value
-    t2 = (-b - q + (a1 + a2) * q * z) * phi21(p, q * z, tol).value
-    t3 = q * (1.0 - z) * phi21(p, z, tol).value
+    t1 = (b - a1 * a2 * q * z) * phi21(p, q * q * z).value
+    t2 = (-b - q + (a1 + a2) * q * z) * phi21(p, q * z).value
+    t3 = q * (1.0 - z) * phi21(p, z).value
     scale = max(abs(t1), abs(t2), abs(t3))
     return abs(t1 + t2 + t3), scale

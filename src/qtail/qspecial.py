@@ -11,6 +11,10 @@ theta, log_theta and theta_logderiv first write z = q^n w with w on the
 annulus sqrt(q) <= |w| < 1/sqrt(q); ``_q_power`` is the package's one test
 for v in q^Z.  Functions that return an EvalResult carry a truncation-tail
 bound in it; log_theta and theta_logderiv return a plain complex.
+
+Every value in the package is computed to one precision target, the
+relative tolerance ``REL_TOL``: products and series drop their terms below
+``CUT = REL_TOL * 1e-3``.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from ._core import _MAX_ITER, logqpoch_raw, qpoch_raw, theta3_raw, theta_ratio_d
 
 __all__ = [
     "QParam",
-    "Tolerance",
     "EvalResult",
     "DomainError",
-    "DEFAULT_TOL",
+    "REL_TOL",
+    "CUT",
     "qpoch_inf",
     "qpoch_multi",
     "theta",
@@ -41,6 +45,8 @@ __all__ = [
 PI2 = math.pi * math.pi
 TWO_PI_I = 2j * math.pi
 ABS_FLOOR = 1e-300  # smallest magnitude a relative error bound divides by
+REL_TOL = 1e-12  # the one relative precision target
+CUT = REL_TOL * 1e-3  # truncation threshold for series and product terms
 
 
 class DomainError(ValueError):
@@ -66,23 +72,6 @@ class QParam:
 
 
 @dataclass(frozen=True)
-class Tolerance:
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError("rel_tol must lie in (0, 1)")
-
-    @property
-    def cut(self) -> float:
-        # truncation threshold for series/product terms
-        return max(self.rel_tol * 1e-3, 1e-17)
-
-
-DEFAULT_TOL = Tolerance()
-
-
-@dataclass(frozen=True)
 class EvalResult:
     """A value and an absolute bound on its error: the truncation tail of
     the series and products here and in qhyper, and None for every kernel
@@ -95,13 +84,13 @@ class EvalResult:
         return complex(self.value)
 
 
-def qpoch_inf(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def qpoch_inf(z: complex, q: QParam) -> EvalResult:
     """(z; q)_inf, entire in z."""
-    val, err = qpoch_raw(complex(z), q.q, tol.cut)
+    val, err = qpoch_raw(complex(z), q.q, CUT)
     return EvalResult(val, err)
 
 
-def qpoch_multi(zs, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def qpoch_multi(zs, q: QParam) -> EvalResult:
     """(z_1, ..., z_m; q)_inf as a product of single symbols.
 
     Error bounds combine to first order: sum of relative tails times the
@@ -110,7 +99,7 @@ def qpoch_multi(zs, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     prod = complex(1.0)
     rel = 0.0
     for z in zs:
-        r = qpoch_inf(z, q, tol)
+        r = qpoch_inf(z, q)
         prod *= r.value
         rel += r.abs_error_bound / max(abs(r.value), ABS_FLOOR)
     return EvalResult(prod, abs(prod) * rel)
@@ -133,7 +122,7 @@ def _q_power(v: complex, q: float, eps: float = 1e-12) -> int | None:
     return n if abs(t - n) < eps else None
 
 
-def theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def theta(z: complex, q: QParam) -> EvalResult:
     """theta_q(z) = (z, q/z; q)_inf with argument reduction via
     theta_q(q^n w) = (-1)^n q^{-n(n-1)/2} w^{-n} theta_q(w).
 
@@ -145,8 +134,8 @@ def theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     if _q_power(z, q.q) is not None:
         return EvalResult(0.0, 0.0)
     w, n = _reduce_to_annulus(z, q.q)
-    v1, e1 = qpoch_raw(w, q.q, tol.cut)
-    v2, e2 = qpoch_raw(q.q / w, q.q, tol.cut)
+    v1, e1 = qpoch_raw(w, q.q, CUT)
+    v2, e2 = qpoch_raw(q.q / w, q.q, CUT)
     base = v1 * v2
     rel = e1 / max(abs(v1), ABS_FLOOR) + e2 / max(abs(v2), ABS_FLOOR)
     if n == 0:
@@ -159,11 +148,11 @@ def theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     return EvalResult(val, abs(val) * rel)
 
 
-def theta_multi(zs, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def theta_multi(zs, q: QParam) -> EvalResult:
     prod = complex(1.0)
     rel = 0.0
     for z in zs:
-        r = theta(z, q, tol)
+        r = theta(z, q)
         if r.value == 0.0:
             return EvalResult(0.0, 0.0)
         prod *= r.value
@@ -171,7 +160,7 @@ def theta_multi(zs, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
     return EvalResult(prod, abs(prod) * rel)
 
 
-def log_theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
+def log_theta(z: complex, q: QParam) -> complex:
     """Complex logarithm of theta_q(z), defined modulo 2 pi i.
 
     Overflow-safe: works for any magnitude of theta.  Only differences and
@@ -181,15 +170,15 @@ def log_theta(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
     if z == 0 or _q_power(z, q.q) is not None:
         raise DomainError("log theta undefined at a zero of theta")
     w, n = _reduce_to_annulus(z, q.q)
-    l1, _ = logqpoch_raw(w, q.q, tol.cut)
-    l2, _ = logqpoch_raw(q.q / w, q.q, tol.cut)
+    l1, _ = logqpoch_raw(w, q.q, CUT)
+    l2, _ = logqpoch_raw(q.q / w, q.q, CUT)
     out = l1 + l2
     if n != 0:
         out += 1j * math.pi * n - 0.5 * n * (n - 1) * math.log(q.q) - n * cmath.log(w)
     return out
 
 
-def theta_logderiv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> complex:
+def theta_logderiv(z: complex, q: QParam) -> complex:
     """L(z) = theta_q'(z) / theta_q(z), with argument reduction z = q^n w:
     L(z) = q^-n (L(w) - n / w), and L(w) is the divided difference rho(w, w)
     of theta(a)/theta(b)."""
@@ -200,13 +189,13 @@ def theta_logderiv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> compl
     if n == 0:
         w = z  # z * 1.0 can flip the sign of a zero part
     # the loop runs until q^i max(|w|, 1/|w|) <= cut and has no cap of its own
-    if math.log(tol.cut / max(abs(w), 1.0 / abs(w))) / math.log(q.q) > _MAX_ITER:
+    if math.log(CUT / max(abs(w), 1.0 / abs(w))) / math.log(q.q) > _MAX_ITER:
         raise ArithmeticError("theta log-derivative did not converge")
-    L = theta_ratio_dd_raw(w, w, q.q, tol.cut)[0]
+    L = theta_ratio_dd_raw(w, w, q.q, CUT)[0]
     return L if n == 0 else q.q ** -n * (L - n / w)
 
 
-def theta_deriv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def theta_deriv(z: complex, q: QParam) -> EvalResult:
     """theta_q'(z).
 
     Generic z: theta_q(z) times the log-derivative series.  At the simple
@@ -218,26 +207,26 @@ def theta_deriv(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResu
     n = _q_power(z, q.q)
     if n is not None:
         # simple zero at q^n: theta'(q^n) = (-1)^n q^{-n(n+1)/2} theta'(1)
-        r = qpoch_inf(q.q, q, tol)
+        r = qpoch_inf(q.q, q)
         fac = (-1) ** n * q.q ** (-0.5 * n * (n + 1))
         val = -fac * r.value * r.value
         return EvalResult(val, 2.0 * abs(fac * r.value) * r.abs_error_bound)
-    th = theta(z, q, tol)
-    ld = theta_logderiv(z, q, tol)
+    th = theta(z, q)
+    ld = theta_logderiv(z, q)
     val = th.value * ld
     return EvalResult(val, abs(ld) * th.abs_error_bound)
 
 
-def theta3(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def theta3(z: complex, q: QParam) -> EvalResult:
     """Jacobi theta_3 with the q^{1/2}-nome convention; entire on C*."""
     z = complex(z)
     if z == 0:
         raise DomainError("theta3 undefined at z = 0")
-    val, err = theta3_raw(z, q.q, tol.cut)
+    val, err = theta3_raw(z, q.q, CUT)
     return EvalResult(val, err)
 
 
-def jacobi_imaginary_rhs(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) -> EvalResult:
+def jacobi_imaginary_rhs(z: complex, q: QParam) -> EvalResult:
     """Right-hand side of the imaginary transformation for theta3.
 
     Equals theta3(z; q); evaluated through the dual nome exp(-4 pi^2 / r),
@@ -251,5 +240,5 @@ def jacobi_imaginary_rhs(z: complex, q: QParam, tol: Tolerance = DEFAULT_TOL) ->
     qdual = math.exp(-4.0 * PI2 / r)
     zdual = cmath.exp(4.0 * PI2 * u / r)
     pref = math.sqrt(2.0 * math.pi / r) * cmath.exp(-2.0 * PI2 * u * u / r)
-    val, err = theta3_raw(zdual, qdual, tol.cut)
+    val, err = theta3_raw(zdual, qdual, CUT)
     return EvalResult(pref * val, abs(pref) * err)

@@ -10,7 +10,6 @@ import numpy as np
 from scipy import stats
 
 from qtail import (
-    DEFAULT_TOL,
     QContext,
     QParam,
     RegimeI,
@@ -53,7 +52,7 @@ def _line(num, name, ok, detail, t0):
 def _run(suite, seed, draws):
     """A registry suite on the gate's seed: the worst residual of each check,
     and whether every check is below its registry threshold."""
-    rows = apply_thresholds(SUITES[suite](np.random.default_rng(seed), draws, DEFAULT_TOL))
+    rows = apply_thresholds(SUITES[suite](np.random.default_rng(seed), draws))
     return {check: worst for check, worst, _, _ in rows}, all(passed for *_, passed in rows)
 
 
@@ -309,7 +308,7 @@ def test_criterion_11_closed_forms():
             ky += 1
         x, y = ctx.point(sx, kx), ctx.point(sy, ky)
         closed = elliptic_kernel(x, y, pair, ctx).value
-        direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx, DEFAULT_TOL)
+        direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx)
         worst_cd = max(worst_cd, abs(closed - direct) / max(1.0, abs(closed)))
     worst_diag = 0.0
     for _ in range(10):

@@ -239,11 +239,6 @@ class TestExitCodes:
         assert main(argv) == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
 
-    def test_zero_tolerance_is_rejected(self, capsys):
-        rc = main(["eval", "elliptic", *LATTICE, *PAIR, "--x", "+:0", "--y", "+:1",
-                   "--tol", "0"])
-        assert rc == EXIT_VALIDATION
-
     @pytest.mark.parametrize("argv", [
         ["sample", *LATTICE, *PAIR, "--points", "+:0,+:1", "--draws", "10"],
         ["verify", "theta", "--draws", "2"],
@@ -263,7 +258,6 @@ class TestExitCodes:
         ["eval", "sine", "--phi", "inf"],
         ["eval", "fourier", *LATTICE, *PAIR, "--eta=-inf"],
         ["scan", "sine", "--q-sweep", "0.9", "nan"],
-        ["verify", "theta", "--draws", "2", "--tol", "nan"],
     ])
     def test_non_finite_float_is_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

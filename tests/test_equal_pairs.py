@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qtail import (
-    DEFAULT_TOL,
     DomainError,
     QContext,
     QParam,
@@ -28,6 +27,7 @@ from qtail import (
 )
 from qtail._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from qtail.kernels import C_elliptic, _elliptic_direct, _sinh_quotient, log_C_elliptic
+from qtail.qspecial import CUT
 
 import theta_reference
 
@@ -109,7 +109,7 @@ def test_off_lattice_quotient_form_at_gamma_equals_delta():
         for a, b in ((1, 0), (1, 1)), ((1, 1), (-1, 0)), ((-1, 0), (-1, 1)):
             x, y = ctx.point(*a), ctx.point(*b)
             closed = elliptic_kernel(x, y, pair, ctx).value
-            direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx, DEFAULT_TOL)
+            direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx)
             assert abs(closed - direct) <= 1e-13
 
 
@@ -155,12 +155,12 @@ def test_contour_diagonal_through_gamma_equals_delta(name):
 @pytest.mark.parametrize("a", [0.7, 0.31 + 0.4j, -1.6, 2.3 - 0.8j])
 def test_divided_differences_at_a_equal_b(a):
     q = QParam(0.5)
-    rho, _ = theta_ratio_dd_raw(a, a, q.q, DEFAULT_TOL.cut)
+    rho, _ = theta_ratio_dd_raw(a, a, q.q, CUT)
     want = theta_reference.logderiv(a, q.q)
     assert abs(rho - want) <= 1e-14 * abs(want)
-    T, P, _ = theta_dd_raw(a, a, 0.45 - 0.2j, q.q, DEFAULT_TOL.cut)
+    T, P, _ = theta_dd_raw(a, a, 0.45 - 0.2j, q.q, CUT)
     assert abs(T / P - want) <= 1e-14 * abs(want)
-    F, _ = zlogderiv_dd_raw(a, a, q.q, DEFAULT_TOL.cut)
+    F, _ = zlogderiv_dd_raw(a, a, q.q, CUT)
     want = theta_reference.zlogderiv_d(a, q.q)
     assert abs(F - want) <= 1e-14 * abs(want)
 

@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 from qtail import (
-    DEFAULT_TOL,
     QContext,
     QParam,
-    Tolerance,
     closed_diag,
     elliptic_kernel,
     fourier_closed,
@@ -24,7 +22,7 @@ from qtail import (
     validate_pair,
 )
 from qtail import fourier, kernels, qspecial
-from qtail._core import theta_ratio_dd_raw
+from qtail._core import theta_ratio_dd_raw, zlogderiv_dd_raw
 from qtail.fourier import truncation_order
 from qtail.kernels import _CACHE_SIZE, C_elliptic, _PairPlan
 from qtail.qspecial import qpoch_inf, theta, theta_logderiv, theta_multi
@@ -95,39 +93,39 @@ class TestLatticeSum:
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
-def _closed_ten_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
+def _closed_ten_thetas(eta, pair, ctx):
     """fourier_closed with each entry's two numerator thetas evaluated."""
     q, qv = ctx.q, ctx.q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    s, pp_pref, mm_pref, cross_pref = _PairPlan.build(pair, ctx, tol).closed_prefactors
+    s, pp_pref, mm_pref, cross_pref = _PairPlan.build(pair, ctx).closed_prefactors
     e, ec = cmath.exp(1j * eta), cmath.exp(-1j * eta)
-    den = theta_multi([-e * qv * s / g, -e * qv * s / d], q, tol).value
+    den = theta_multi([-e * qv * s / g, -e * qv * s / d], q).value
     return np.array([
-        [pp_pref * theta_multi([-e * zp * s, -ec * zp * s], q, tol).value / den,
-         cross_pref * theta_multi([-e * zp * s, -ec * zm * s], q, tol).value / den],
-        [cross_pref * theta_multi([-e * zm * s, -ec * zp * s], q, tol).value / den,
-         mm_pref * theta_multi([-e * zm * s, -ec * zm * s], q, tol).value / den]])
+        [pp_pref * theta_multi([-e * zp * s, -ec * zp * s], q).value / den,
+         cross_pref * theta_multi([-e * zp * s, -ec * zm * s], q).value / den],
+        [cross_pref * theta_multi([-e * zm * s, -ec * zp * s], q).value / den,
+         mm_pref * theta_multi([-e * zm * s, -ec * zm * s], q).value / den]])
 
 
-def _lemma_six_thetas(eta, pair, ctx, tol=DEFAULT_TOL):
+def _lemma_six_thetas(eta, pair, ctx):
     """The log-derivative form as C times differences, with each of its six
     eta-dependent thetas evaluated (gamma != delta)."""
     q, qv = ctx.q, ctx.q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    C = C_elliptic(pair, ctx, tol).value
+    C = C_elliptic(pair, ctx).value
     sq = math.sqrt(qv * (g * d).real)
     r2 = abs(zp / zm)
 
     def ld(z):
-        return z * theta_logderiv(z, q, tol)
+        return z * theta_logderiv(z, q)
 
     def th(z):
-        return theta(z, q, tol).value
+        return theta(z, q).value
 
-    pref = C * math.sqrt(r2) * -(qpoch_inf(qv, q, tol).value ** 2) / math.sqrt(
-        theta_multi([g * zm, d * zm, g * zp, d * zp], q, tol).value.real)
+    pref = C * math.sqrt(r2) * -(qpoch_inf(qv, q).value ** 2) / math.sqrt(
+        theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
     pm_pref = pref / th(zp / zm)
     mp_pref = pref / (r2 * th(zm / zp))
     gpdm, dpgm = th(g * zp) * th(d * zm), th(d * zp) * th(g * zm)
@@ -180,15 +178,15 @@ class TestDistinctThetas:
         plan's logs."""
         calls = []
 
-        def counting(z, q, tol=DEFAULT_TOL):
+        def counting(z, q):
             calls.append(z)
-            return theta(z, q, tol)
+            return theta(z, q)
 
         monkeypatch.setattr(qspecial, "theta", counting)
         monkeypatch.setattr(fourier, "theta", counting)
         etas = (0.3, -2.2, math.pi)
         for p in pairs:
-            _PairPlan.build(p, ctx, DEFAULT_TOL)
+            _PairPlan.build(p, ctx)
             calls.clear()
             for eta in etas:
                 route(eta, p, ctx)
@@ -215,7 +213,7 @@ class TestPlanConstants:
                     qv * theta_multi([g * zm, d * zm], q).value / (g * d * zp * zp * base),
                     qv * theta_multi([g * zp, d * zp], q).value / (g * d * abs(zm * zp) * base),
                     -qv * sq_theta / (g * d * zp * math.sqrt(abs(zm * zp)) * base))
-            got = _PairPlan.build(p, ctx, DEFAULT_TOL).closed_prefactors
+            got = _PairPlan.build(p, ctx).closed_prefactors
             for a, b in zip(got, want):
                 assert abs(a - b) <= 1e-13 * abs(b)
 
@@ -225,7 +223,7 @@ class TestPlanConstants:
         zp, zm = ctx.zeta_plus, ctx.zeta_minus
         for p in pairs:
             g, d = p.gamma, p.delta
-            plan = _PairPlan.build(p, ctx, DEFAULT_TOL)
+            plan = _PairPlan.build(p, ctx)
             *_, pref, th_gpdm = plan.lemma_prefactors
             sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
             tprime1 = -(qpoch_inf(q.q, q).value ** 2)
@@ -256,19 +254,16 @@ class TestRouteCaches:
         assert calls() == first
 
     def test_context_and_tolerance_are_part_of_the_key(self, ctx, pair, cold_caches):
+        """The key is (pair, ctx); the precision is the one fixed REL_TOL."""
         ctx2 = QContext(QParam(0.5), 1.3, -0.6)
-        tol2 = Tolerance(rel_tol=1e-10)
-        keys = ((ctx, DEFAULT_TOL), (ctx2, DEFAULT_TOL), (ctx, tol2))
-        for c, t in keys:
+        for c in (ctx, ctx2):
             for route in self.ROUTES:
-                route(0.7, pair, c, t)
-        assert _PairPlan.build.cache_info().currsize == 3
-        plans = [_PairPlan.build(pair, c, t) for c, t in keys]
-        assert _PairPlan.build.cache_info().currsize == 3
+                route(0.7, pair, c)
+        assert _PairPlan.build.cache_info().currsize == 2
+        plans = [_PairPlan.build(pair, c) for c in (ctx, ctx2)]
+        assert _PairPlan.build.cache_info().currsize == 2
         assert plans[0].closed_prefactors != plans[1].closed_prefactors
-        # the looser tolerance truncates the lattice sum earlier
-        assert [len(p._lattices) for p in plans] == [1, 1, 1]
-        assert set(plans[0]._lattices) != set(plans[2]._lattices)
+        assert [len(p._lattices) for p in plans] == [1, 1]
 
     def test_size_stays_within_bound(self, ctx, cold_caches):
         assert _PairPlan.build.cache_info().maxsize == _CACHE_SIZE == 8
@@ -281,7 +276,7 @@ class TestRouteCaches:
     def test_evicted_plan_is_freed_with_its_constants(self, ctx, pair, cold_caches):
         for route in self.ROUTES:
             route(0.7, pair, ctx)
-        plan = _PairPlan.build(pair, ctx, DEFAULT_TOL)
+        plan = _PairPlan.build(pair, ctx)
         assert {"closed_prefactors", "lemma_prefactors", "D"} <= set(vars(plan))
         (_, _, a, pm, mp), = plan._lattices.values()
         refs = [weakref.ref(obj) for obj in (plan, a, pm, mp)]
@@ -310,6 +305,24 @@ class TestPlanLaziness:
         elliptic_kernel(ctx.point(1, 1), ctx.point(-1, 0), pair, ctx)
         elliptic_kernel(ctx.point(-1, 4), ctx.point(1, -2), pair, ctx)
         assert len(calls) == 2
+
+    def test_diagonal_runs_one_loop_per_sign(self, monkeypatch, ctx, pair, cold_caches):
+        """diag(+1) and diag(-1) are kept on the plan: the diagonal entries,
+        one-point correlations and the lemma form's prefactors reuse them."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return zlogderiv_dd_raw(*args)
+
+        monkeypatch.setattr(kernels, "zlogderiv_dd_raw", counting)
+        first = [closed_diag(sign, pair, ctx).value for sign in (1, -1)]
+        for k in (0, 3, -2):
+            for sign in (1, -1):
+                elliptic_kernel(ctx.point(sign, k), ctx.point(sign, k), pair, ctx)
+        fourier_lemma_form(0.7, pair, ctx)
+        assert len(calls) == 2
+        assert [closed_diag(sign, pair, ctx).value for sign in (1, -1)] == first
 
 
 class TestProjection:

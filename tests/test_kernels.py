@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qtail import (
-    DEFAULT_TOL,
     AdmissiblePair,
     AdmissibleQuadruple,
     DomainError,
@@ -17,7 +16,6 @@ from qtail import (
     PoleError,
     QContext,
     QParam,
-    Tolerance,
     basic_kernel,
     closed_diag,
     elliptic_diag_contour,
@@ -187,8 +185,7 @@ class TestEllipticClosedForms:
                     continue
                 x, y = ctx.point(sx, kx), ctx.point(sy, ky)
                 closed = elliptic_kernel(x, y, pair, ctx).value
-                direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx,
-                                          DEFAULT_TOL)
+                direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx)
                 assert abs(closed - direct) <= 1e-11 * max(1.0, abs(closed))
 
     def test_symmetry(self, ctx, pair):
@@ -301,8 +298,8 @@ class TestBasicKernel:
             # the two routes of the building function's meromorphic part, of
             # which _h picks one by |x|
             for r in (0, 1):
-                d = kernels._h_direct(x, r, quad, ctx, DEFAULT_TOL)
-                t = kernels._h_transformed(x, r, quad, ctx, DEFAULT_TOL)
+                d = kernels._h_direct(x, r, quad, ctx)
+                t = kernels._h_transformed(x, r, quad, ctx)
                 assert abs(d - t) <= 1e-10 * max(abs(d), abs(t), 1e-30)
 
     def test_symmetry(self, ctx, quad):
@@ -434,21 +431,18 @@ class TestPairPlanCache:
         assert calls() == first
 
     def test_context_and_tolerance_are_part_of_the_key(self, ctx, pair, cold_caches):
+        """The key is (pair, ctx); the precision is the one fixed REL_TOL."""
         ctx2 = QContext(QParam(0.5), 1.3, -0.6)
-        tol2 = Tolerance(rel_tol=1e-10)
-        plans = [_PairPlan.build(pair, ctx, DEFAULT_TOL),
-                 _PairPlan.build(pair, ctx2, DEFAULT_TOL),
-                 _PairPlan.build(pair, ctx, tol2)]
-        assert _PairPlan.build.cache_info().currsize == 3
-        assert [p.ctx for p in plans] == [ctx, ctx2, ctx]
-        assert [p.tol for p in plans] == [DEFAULT_TOL, DEFAULT_TOL, tol2]
+        plans = [_PairPlan.build(pair, ctx), _PairPlan.build(pair, ctx2)]
+        assert _PairPlan.build.cache_info().currsize == 2
+        assert [p.ctx for p in plans] == [ctx, ctx2]
         assert plans[0].B != plans[1].B
-        assert _PairPlan.build(pair, ctx, DEFAULT_TOL) is plans[0]
+        assert _PairPlan.build(pair, ctx) is plans[0]
 
     def test_lattice_coefficients_match_entry_methods(self, ctx, pair, principal_pair):
         """The arrays hold the scalar closed forms at the documented indices."""
         for p in (pair, principal_pair):
-            plan = _PairPlan.build(p, ctx, DEFAULT_TOL)
+            plan = _PairPlan.build(p, ctx)
             M = 25
             dp, dm, a, pm, mp = plan.lattice(M)
             assert (dp, dm) == (plan.diag(1), plan.diag(-1))
@@ -459,7 +453,7 @@ class TestPairPlanCache:
                 assert np.array_equal(got, np.array(want))
 
     def test_lattice_coefficients_are_read_only(self, ctx, pair):
-        _, _, a, pm, mp = _PairPlan.build(pair, ctx, DEFAULT_TOL).lattice(12)
+        _, _, a, pm, mp = _PairPlan.build(pair, ctx).lattice(12)
         for arr in (a, pm, mp):
             with pytest.raises(ValueError):
                 arr[0] = 0.0

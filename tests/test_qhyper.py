@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from qtail import (
-    DEFAULT_TOL,
     DegeneracyError,
     DomainError,
     Phi21Params,

@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtail import (
-    DEFAULT_TOL,
     DomainError,
     QParam,
-    Tolerance,
     jacobi_imaginary_rhs,
     log_theta,
     qpoch_inf,
@@ -49,16 +47,6 @@ class TestQParam:
         assert QParam(0.5).r == pytest.approx(math.log(2.0))
 
 
-class TestTolerance:
-    def test_cut_floor(self):
-        assert Tolerance(rel_tol=1e-12).cut == pytest.approx(1e-15)
-        assert Tolerance(rel_tol=1e-16).cut == pytest.approx(1e-17)
-
-    def test_rejects_bad_rel_tol(self):
-        with pytest.raises(DomainError):
-            Tolerance(rel_tol=0.0)
-
-
 class TestQpoch:
     @given(st.floats(0.05, 0.9), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
     @settings(max_examples=60, deadline=None)
@@ -85,7 +73,7 @@ class TestQpoch:
         # e^{-4 pi^2/r}, and (q'; q')_inf = 1 in double precision at r = 0.01
         q = QParam(math.exp(-0.01))
         r = q.r  # the rate of the rounded q: pi^2/(6r) magnifies errors in r
-        exact = qpoch_inf(q.q, q, Tolerance(rel_tol=1e-14)).value
+        exact = qpoch_inf(q.q, q).value
         eta = math.sqrt(2.0 * math.pi / r) * math.exp(r / 24.0 - math.pi ** 2 / (6.0 * r))
         assert abs(exact / eta - 1.0) < 1e-12
 
