@@ -2,11 +2,14 @@
 
 Subcommands:
 
-* ``eval``   -- evaluate a kernel (basic / elliptic / trig / sine) or the
-               Fourier matrix at given points.
+* ``eval basic|elliptic|fourier|trig|sine`` -- a kernel value at given
+  points, or the Fourier matrix at eta.
 * ``verify`` -- run randomized identity suites and report residuals.
-* ``scan``   -- convergence scans (tail depth, trig q-sweep, sine q-sweep).
+* ``scan tail|trig|sine`` -- convergence scans (tail depth, trig q-sweep,
+  sine q-sweep).
 * ``sample`` -- draw from the determinantal process on a lattice window.
+
+Each command takes only the flags it reads; any other flag exits 2.
 
 Complex values are accepted as ``re+imi`` / ``re-imi`` / ``[re,im]`` /
 plain reals, and always emitted as ``[re, im]`` pairs.  With ``--out`` the
@@ -96,12 +99,6 @@ def parse_point(s: str) -> LatticePoint:
         raise DomainError(f"bad lattice point {s!r}; expected '+:k' or '-:k'") from exc
 
 
-def _require(args, flags) -> None:
-    missing = [f"--{f.replace('_', '-')}" for f in flags if getattr(args, f) is None]
-    if missing:
-        raise DomainError(f"missing {', '.join(missing)}")
-
-
 def _context(args) -> QContext:
     return QContext(QParam(args.q), args.zeta_plus, args.zeta_minus)
 
@@ -145,53 +142,44 @@ def _output(args, payload: dict, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
-# the flags each kind needs; argparse cannot make a flag required per kind
-_EVAL_NEEDS = {
-    "basic": ("q", "alpha", "beta", "gamma", "delta", "x", "y"),
-    "elliptic": ("q", "gamma", "delta", "x", "y"),
-    "fourier": ("q", "gamma", "delta"),
-    "trig": ("c", "d"),
-    "sine": ("phi",),
-}
-
-
-def cmd_eval(args) -> int:
-    kind = args.kind
-    _require(args, _EVAL_NEEDS[kind])
-    if kind in ("basic", "elliptic", "fourier"):
-        ctx = _context(args)
-    if kind == "basic":
-        quad = validate_quadruple(args.alpha, args.beta, args.gamma, args.delta, ctx)
-        x, y = parse_point(args.x), parse_point(args.y)
-        r = basic_kernel(x, y, quad, ctx)
-        value = r.value
-    elif kind == "elliptic":
-        pair = validate_pair(args.gamma, args.delta, ctx)
-        x, y = parse_point(args.x), parse_point(args.y)
-        r = elliptic_kernel(x, y, pair, ctx)
-        value = r.value
-    elif kind == "fourier":
-        pair = validate_pair(args.gamma, args.delta, ctx)
-        M = fourier_closed(args.eta, pair, ctx)
-        payload = {
-            "kind": "fourier",
-            "eta": args.eta,
-            "matrix": [[emit_complex(v) for v in row] for row in M],
-        }
-        rows = [{"entry": e, "value": emit_complex(v)}
-                for e, v in zip(("pp", "pm", "mp", "mm"), M.ravel())]
-        _output(args, payload, rows)
-        return EXIT_OK
-    elif kind == "trig":
-        tp = TrigParams(args.c, args.d)
-        value = complex(trig_kernel((args.i, args.u), (args.j, args.v), tp))
-    elif kind == "sine":
-        value = complex(sine_kernel(args.m, args.n, args.phi))
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown kind {kind}")
-    payload = {"kind": kind, "value": emit_complex(value)}
-    _output(args, payload, [{"kind": kind, "value": emit_complex(value)}])
+def _emit_value(args, value) -> int:
+    row = {"kind": args.kind, "value": emit_complex(complex(value))}
+    _output(args, row, [row])
     return EXIT_OK
+
+
+def eval_basic(args) -> int:
+    ctx = _context(args)
+    quad = validate_quadruple(args.alpha, args.beta, args.gamma, args.delta, ctx)
+    return _emit_value(args, basic_kernel(parse_point(args.x), parse_point(args.y),
+                                          quad, ctx).value)
+
+
+def eval_elliptic(args) -> int:
+    ctx = _context(args)
+    pair = validate_pair(args.gamma, args.delta, ctx)
+    return _emit_value(args, elliptic_kernel(parse_point(args.x), parse_point(args.y),
+                                             pair, ctx).value)
+
+
+def eval_fourier(args) -> int:
+    ctx = _context(args)
+    M = fourier_closed(args.eta, validate_pair(args.gamma, args.delta, ctx), ctx)
+    payload = {"kind": "fourier", "eta": args.eta,
+               "matrix": [[emit_complex(v) for v in row] for row in M]}
+    rows = [{"entry": e, "value": emit_complex(v)}
+            for e, v in zip(("pp", "pm", "mp", "mm"), M.ravel())]
+    _output(args, payload, rows)
+    return EXIT_OK
+
+
+def eval_trig(args) -> int:
+    return _emit_value(args, trig_kernel((args.i, args.u), (args.j, args.v),
+                                         TrigParams(args.c, args.d)))
+
+
+def eval_sine(args) -> int:
+    return _emit_value(args, sine_kernel(args.m, args.n, args.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -225,33 +213,29 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_scan(args) -> int:
-    if args.which == "tail":
-        _require(args, ("alpha", "beta", "gamma", "delta"))
-        ctx = _context(args)
-        quad = validate_quadruple(args.alpha, args.beta, args.gamma, args.delta, ctx)
-        x, y = parse_point(args.x), parse_point(args.y)
-        scan = tail_limit_scan(x, y, quad, ctx, args.m_max)
-        rows = [{"M": M, "error": e} for M, e in scan]
-        payload = {"schema_version": SCHEMA_VERSION, "scan": "tail", "points": rows}
-    elif args.which == "trig":
-        if args.q_sweep is None:
-            args.q_sweep = list(RegimeII.q_sweep)
-        reg = RegimeII(c=args.c, d=args.d, mirrored=args.mirrored,
-                       q_sweep=tuple(args.q_sweep))
-        scan = trig_limit_scan(args.u, args.v, args.i, args.j, reg)
-        rows = [{"q": q, "error": e} for q, e in scan]
-        payload = {"schema_version": SCHEMA_VERSION, "scan": "trig",
-                   "mirrored": args.mirrored, "points": rows}
-    else:
-        if args.q_sweep is None:
-            args.q_sweep = list(RegimeI.q_sweep)
-        reg = RegimeI(phi=args.phi, s=args.s, q_sweep=tuple(args.q_sweep))
-        scan = sine_limit_scan(args.m, args.n, args.sign, reg)
-        rows = [{"q": q, "error": e} for q, e in scan]
-        payload = {"schema_version": SCHEMA_VERSION, "scan": "sine", "points": rows}
+def _emit_scan(args, rows: list[dict], **extra) -> int:
+    payload = {"schema_version": SCHEMA_VERSION, "scan": args.which, **extra, "points": rows}
     _output(args, payload, rows)
     return EXIT_OK
+
+
+def scan_tail(args) -> int:
+    ctx = _context(args)
+    quad = validate_quadruple(args.alpha, args.beta, args.gamma, args.delta, ctx)
+    scan = tail_limit_scan(parse_point(args.x), parse_point(args.y), quad, ctx, args.m_max)
+    return _emit_scan(args, [{"M": M, "error": e} for M, e in scan])
+
+
+def scan_trig(args) -> int:
+    reg = RegimeII(c=args.c, d=args.d, mirrored=args.mirrored, q_sweep=tuple(args.q_sweep))
+    scan = trig_limit_scan(args.u, args.v, args.i, args.j, reg)
+    return _emit_scan(args, [{"q": q, "error": e} for q, e in scan], mirrored=args.mirrored)
+
+
+def scan_sine(args) -> int:
+    reg = RegimeI(phi=args.phi, s=args.s, q_sweep=tuple(args.q_sweep))
+    scan = sine_limit_scan(args.m, args.n, args.sign, reg)
+    return _emit_scan(args, [{"q": q, "error": e} for q, e in scan])
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +274,30 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _leaf(sub, name, func, help, allow_abbrev=False):
+    """A parser that runs ``func`` and takes --format and --out.
+
+    An eval or scan kind passes no ``allow_abbrev``, so a prefix of one of its
+    flags is not read as the flag (``scan trig --q`` is not ``--q-sweep``).
+    """
+    p = sub.add_parser(name, help=help, allow_abbrev=allow_abbrev)
+    p.set_defaults(func=func)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out", default=None, help="output file (manifest sidecar added)")
+    return p
 
 
-def _add_lattice(p, q=None, required=False, params=("gamma", "delta", "alpha", "beta")):
-    """--q (default ``q``), the anchors and the pair or quadruple ``params``;
-    with ``required``, --q and every one of ``params`` must be given."""
-    p.add_argument("--q", type=finite_float, default=q, required=required)
-    p.add_argument("--zeta-plus", dest="zeta_plus", type=finite_float, default=1.0)
-    p.add_argument("--zeta-minus", dest="zeta_minus", type=finite_float, default=-1.0)
-    for name in params:
-        p.add_argument(f"--{name}", type=parse_complex, default=None, required=required)
+def _flags(p, type, help=None, **defaults) -> None:
+    """One --NAME flag per keyword; a default of None makes the flag required."""
+    for name, default in defaults.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type, default=default,
+                       required=default is None, help=help)
+
+
+def _add_lattice(p, q=None) -> None:
+    """--q, the anchors zeta_+ and zeta_-, and the pair --gamma, --delta."""
+    _flags(p, finite_float, q=q, zeta_plus=1.0, zeta_minus=-1.0)
+    _flags(p, parse_complex, gamma=None, delta=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,75 +305,66 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="lattice kernel evaluation and verification")
     ap.add_argument("--version", action="version", version=f"qtail {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    point = "lattice point '+:k' or '-:k'"
 
-    pe = sub.add_parser("eval", help="evaluate a kernel")
-    pe.add_argument("kind", choices=("basic", "elliptic", "trig", "sine", "fourier"))
-    _add_lattice(pe)
-    pe.add_argument("--x", default=None, help="lattice point '+:k' or '-:k'")
-    pe.add_argument("--y", default=None)
-    pe.add_argument("--eta", type=finite_float, default=0.0)
-    pe.add_argument("--phi", type=finite_float, default=None)
-    pe.add_argument("--m", type=int, default=0)
-    pe.add_argument("--n", type=int, default=0)
-    pe.add_argument("--u", type=finite_float, default=0.0)
-    pe.add_argument("--v", type=finite_float, default=0.0)
-    pe.add_argument("--i", type=int, default=1)
-    pe.add_argument("--j", type=int, default=1)
-    pe.add_argument("--c", type=finite_float, default=None)
-    pe.add_argument("--d", type=finite_float, default=None)
-    _add_common(pe)
-    pe.set_defaults(func=cmd_eval)
+    kinds = sub.add_parser("eval", help="evaluate a kernel").add_subparsers(
+        dest="kind", required=True)
+    p = _leaf(kinds, "basic", eval_basic, "the q-zw (four-parameter) kernel")
+    _add_lattice(p)
+    _flags(p, parse_complex, alpha=None, beta=None)
+    _flags(p, str, help=point, x=None, y=None)
+    p = _leaf(kinds, "elliptic", eval_elliptic, "the theta kernel")
+    _add_lattice(p)
+    _flags(p, str, help=point, x=None, y=None)
+    p = _leaf(kinds, "fourier", eval_fourier, "the Fourier projection matrix at eta")
+    _add_lattice(p)
+    _flags(p, finite_float, eta=0.0)
+    p = _leaf(kinds, "trig", eval_trig, "the trig limit kernel")
+    _flags(p, finite_float, c=None, d=None, u=0.0, v=0.0)
+    _flags(p, int, i=1, j=1)
+    p = _leaf(kinds, "sine", eval_sine, "the sine limit kernel")
+    _flags(p, finite_float, phi=None)
+    _flags(p, int, m=0, n=0)
 
-    pv = sub.add_parser("verify", help="randomized identity suites")
-    pv.add_argument("suite", choices=(*SUITES, "all"))
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--draws", type=int, default=100)
-    _add_common(pv)
-    pv.set_defaults(func=cmd_verify)
+    p = _leaf(sub, "verify", cmd_verify, "randomized identity suites", allow_abbrev=True)
+    p.add_argument("suite", choices=(*SUITES, "all"))
+    _flags(p, int, seed=0, draws=100)
 
-    ps = sub.add_parser("scan", help="convergence scans")
-    ps.add_argument("which", choices=("tail", "trig", "sine"))
-    _add_lattice(ps, q=0.5)
-    ps.add_argument("--x", default="+:0")
-    ps.add_argument("--y", default="+:1")
-    ps.add_argument("--m-max", dest="m_max", type=int, default=40)
-    ps.add_argument("--c", type=finite_float, default=0.3)
-    ps.add_argument("--d", type=finite_float, default=0.7)
-    ps.add_argument("--u", type=finite_float, default=0.4)
-    ps.add_argument("--v", type=finite_float, default=0.1)
-    ps.add_argument("--i", type=int, default=1)
-    ps.add_argument("--j", type=int, default=1)
-    ps.add_argument("--mirrored", action="store_true")
-    ps.add_argument("--phi", type=finite_float, default=1.2)
-    ps.add_argument("--s", type=finite_float, default=1.0)
-    ps.add_argument("--m", type=int, default=1)
-    ps.add_argument("--n", type=int, default=0)
-    ps.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    ps.add_argument("--q-sweep", dest="q_sweep", type=finite_float, nargs="+",
-                    default=None)
-    _add_common(ps)
-    ps.set_defaults(func=cmd_scan)
+    scans = sub.add_parser("scan", help="convergence scans").add_subparsers(
+        dest="which", required=True)
+    p = _leaf(scans, "tail", scan_tail, "theta kernel error against the tail depth M")
+    _add_lattice(p, q=0.5)
+    _flags(p, parse_complex, alpha=None, beta=None)
+    _flags(p, str, help=point, x="+:0", y="+:1")
+    _flags(p, int, m_max=40)
+    p = _leaf(scans, "trig", scan_trig, "trig limit error over a q sweep")
+    _flags(p, finite_float, c=0.3, d=0.7, u=0.4, v=0.1)
+    _flags(p, int, i=1, j=1)
+    p.add_argument("--mirrored", action="store_true")
+    p.add_argument("--q-sweep", type=finite_float, nargs="+", default=list(RegimeII.q_sweep))
+    p = _leaf(scans, "sine", scan_sine, "sine limit error over a q sweep")
+    _flags(p, finite_float, phi=1.2, s=1.0)
+    _flags(p, int, m=1, n=0)
+    p.add_argument("--sign", type=int, choices=(1, -1), default=1)
+    p.add_argument("--q-sweep", type=finite_float, nargs="+", default=list(RegimeI.q_sweep))
 
-    pp = sub.add_parser("sample", help="sample the point process on a window")
-    _add_lattice(pp, required=True, params=("gamma", "delta"))
-    pp.add_argument("--points", required=True,
-                    help="comma-separated lattice points, e.g. '+:0,+:1,-:0'")
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--draws", type=int, default=1000)
-    _add_common(pp)
-    pp.set_defaults(func=cmd_sample)
+    p = _leaf(sub, "sample", cmd_sample, "sample the point process on a window",
+              allow_abbrev=True)
+    _add_lattice(p)
+    p.add_argument("--points", required=True,
+                   help="comma-separated lattice points, e.g. '+:0,+:1,-:0'")
+    _flags(p, int, seed=0, draws=1000)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ArithmeticError, OverflowError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -76,6 +76,8 @@ def kernel_matrix(points: Sequence[LatticePoint], kernel: Kernel) -> np.ndarray:
     for i, x in enumerate(points):
         for j, y in enumerate(points):
             K[i, j] = kernel(x, y)
+    if not np.isfinite(K).all():
+        raise ArithmeticError("kernel matrix has a non-finite entry")
     return K
 
 

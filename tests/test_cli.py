@@ -1,7 +1,9 @@
 """Command-line interface: argument parsing, output formats, manifest
-sidecars, and exit codes."""
+sidecars, exit codes, and the README's commands."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qtail.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     EXIT_VERIFY_FAIL,
+    build_parser,
     emit_complex,
     main,
     parse_complex,
@@ -170,7 +173,14 @@ class TestScan:
         rc = main(["scan", "tail", *LATTICE, *QUAD, "--m-max", "2", "--out", str(out)])
         assert rc == EXIT_OK
         manifest = json.loads((tmp_path / "tail.json.manifest.json").read_text())
-        assert manifest["params"]["q_sweep"] is None
+        assert "q_sweep" not in manifest["params"]
+
+    def test_sine_manifest_records_only_its_flags(self, tmp_path):
+        out = tmp_path / "sine.json"
+        assert main(["scan", "sine", "--out", str(out)]) == EXIT_OK
+        params = json.loads((tmp_path / "sine.json.manifest.json").read_text())["params"]
+        assert set(params) == {"command", "which", "phi", "s", "m", "n", "sign", "q_sweep",
+                               "format", "out"}
 
 
 class TestSample:
@@ -225,6 +235,18 @@ class TestEqualPairs:
         assert abs(rho1[1] - want[1][1].real) <= 1e-13
 
 
+def _error_flags(capsys, reason: str) -> set[str]:
+    """The flags named on argparse's error line, which must give ``reason``.
+
+    The usage line above it lists every flag of the command, so only the last
+    line of stderr shows which flags the error is about.
+    """
+    line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert reason in line
+    named = line.split(reason + ": ", 1)[1]
+    return {tok.split("=")[0] for tok in named.replace(",", " ").split()}
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv,flag", [
         (["eval", "elliptic", *PAIR, "--x", "+:0", "--y", "+:1"], "--q"),
@@ -236,8 +258,24 @@ class TestExitCodes:
         (["scan", "tail", *LATTICE, *PAIR, "--beta", str(DELTA_REF * 0.125)], "--alpha"),
     ])
     def test_missing_parameter(self, capsys, argv, flag):
-        assert main(argv) == EXIT_VALIDATION
-        assert flag in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert flag in _error_flags(capsys, "the following arguments are required")
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["scan", "trig", "--q", "0.9"], "--q"),
+        (["scan", "sine", "--c", "0.3"], "--c"),
+        (["eval", "sine", "--phi", "1.2", "--x=+:0"], "--x"),
+        (["eval", "fourier", *LATTICE, *PAIR, "--x=+:0"], "--x"),
+        (["eval", "trig", "--c", "0.3", "--d", "0.7", "--q", "0.5"], "--q"),
+    ])
+    def test_sibling_flag_is_rejected(self, capsys, argv, flag):
+        # a flag that only another kind reads is an error, not silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        assert flag in _error_flags(capsys, "unrecognized arguments")
 
     @pytest.mark.parametrize("argv", [
         ["sample", *LATTICE, *PAIR, "--points", "+:0,+:1", "--draws", "10"],
@@ -299,3 +337,29 @@ class TestExitCodes:
                    "--x", x, "--y", "+:0"])
         assert rc == EXIT_VALIDATION
         assert "normal double range" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the qtail commands in README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qtail ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 6
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[:2]))
+def test_readme_command_parses(argv):
+    build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv,dest,value", [
+    (["verify", "all", "--draw", "60"], "draws", 60),
+    (["sample", *LATTICE, *PAIR, "--point", "+:0,+:1"], "points", "+:0,+:1"),
+])
+def test_unambiguous_prefix_is_read_as_its_flag(argv, dest, value):
+    # verify and sample have no sibling kinds, so a flag prefix is still accepted
+    assert getattr(build_parser().parse_args(argv), dest) == value

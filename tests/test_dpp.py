@@ -176,6 +176,24 @@ class TestSampler:
             sample_window(window4, lambda x, y: complex(x.k - y.k), SampleConfig(1, seed=0))
 
 
+class TestNonFiniteKernel:
+    """A nan or inf kernel entry raises; it used to give empty samples, a nan
+    correlation and nan probabilities without an error."""
+
+    @pytest.mark.parametrize("kernel", [
+        lambda x, y: math.nan,
+        lambda x, y: 0.5 if x == y else complex(0.1, math.inf),
+    ], ids=["nan", "inf_off_diagonal"])
+    @pytest.mark.parametrize("call", [
+        lambda pts, k: sample_window(Window(pts), k, SampleConfig(3, seed=0)),
+        correlation,
+        exact_outcome_probabilities,
+    ], ids=["sample_window", "correlation", "exact_outcome_probabilities"])
+    def test_raises(self, ctx, call, kernel):
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            call((ctx.point(1, 0), ctx.point(1, 1)), kernel)
+
+
 def _basis_reference(window, kernel, cfg):
     """The sampler with the projection step on an orthonormal basis of the
     selected eigenvectors: at each drawn point, delete the pivot column,
