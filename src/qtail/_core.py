@@ -2,37 +2,47 @@
 
 Five product loops: q-Pochhammer, its log, and the divided differences
 rho of theta(a)/theta(b), [theta] and [z theta'/theta]; the theta
-log-derivative is rho at a = b.  Beside them the 2phi1 partial sums and
-theta3.  All functions are scalar and return plain tuples; argument
+log-derivative is rho at a = b.  Beside them the 2phi1 partial sums,
+their a2 -> 0 limit and theta3.  All functions are scalar and return plain tuples; argument
 reduction lives in the callers (``qspecial``, ``qhyper``, ``kernels``,
-``fourier``), which pass ``qspecial.CUT`` as the cut-off.
+``fourier``).  The truncation rule lives here alone: each loop drops the
+terms below ``CUT`` and raises ``ArithmeticError`` rather than exceed its
+cap, which a product loop checks before it starts.
 """
 
 import cmath
+import math
 
-_MAX_ITER = 2_000_000
+REL_TOL = 1e-12  # the one relative precision target
+CUT = REL_TOL * 1e-3  # truncation threshold for series and product terms
+_MAX_ITER = 2_000_000  # factors a product loop may take
+_MAX_TERMS = 100_000  # terms a series loop may take
 
 
-def qpoch_raw(z, q, cut):
+def _check_iterations(scale, q):
+    """Raise if a product loop over q^i * scale, which runs until that
+    drops to CUT, would take more than _MAX_ITER factors."""
+    if scale > CUT and math.log(scale / CUT) / -math.log(q) > _MAX_ITER:
+        raise ArithmeticError(f"q-product needs over {_MAX_ITER} factors at q = {q}")
+
+
+def qpoch_raw(z, q):
     """Infinite q-Pochhammer (z; q)_inf.
 
-    Multiplies factors (1 - z q^i) until |z q^i| drops below ``cut``.
+    Multiplies factors (1 - z q^i) until |z q^i| drops below ``CUT``.
     Returns (value, tail_bound) where tail_bound is a first-order bound on
     the absolute error from the dropped factors: |prod| * |w| / (1 - q).
     """
     prod = complex(1.0)
     w = complex(z)
-    i = 0
-    while abs(w) > cut:
+    _check_iterations(abs(w), q)
+    while abs(w) > CUT:
         prod *= 1.0 - w
         w *= q
-        i += 1
-        if i > _MAX_ITER:
-            raise ArithmeticError("q-Pochhammer truncation did not converge")
     return prod, abs(prod) * abs(w) / (1.0 - q)
 
 
-def logqpoch_raw(z, q, cut):
+def logqpoch_raw(z, q):
     """Principal-branch log of (z; q)_inf as a sum of factor logs.
 
     Overflow-safe replacement for qpoch_raw when the product magnitude
@@ -40,36 +50,34 @@ def logqpoch_raw(z, q, cut):
     """
     total = complex(0.0)
     w = complex(z)
-    i = 0
-    while abs(w) > cut:
+    _check_iterations(abs(w), q)
+    while abs(w) > CUT:
         f = 1.0 - w
         if f == 0.0:
             raise ZeroDivisionError("q-Pochhammer factor vanishes: log undefined")
         total += cmath.log(f)
         w *= q
-        i += 1
-        if i > _MAX_ITER:
-            raise ArithmeticError("q-Pochhammer truncation did not converge")
     # first-order tail of the log: sum of remaining -w q^j
     return total - w / (1.0 - q), abs(w) / (1.0 - q)
 
 
-def theta_ratio_dd_raw(a, b, q, cut):
+def theta_ratio_dd_raw(a, b, q):
     """rho(a, b) = (theta(a)/theta(b) - 1)/(a - b) over the factor ratios
     1 + (a - b) c_i of theta(a)/theta(b): E <- E + c_i (1 + (a - b) E) keeps
     E = (partial ratio - 1)/(a - b), so nothing cancels as b -> a and
     rho(a, a) = theta'(a)/theta(a).  Not valid where b lies on q^Z."""
     d, total = a - b, -1.0 / (1.0 - b)
     scale = max(abs(a), abs(b), 1.0 / abs(a), 1.0 / abs(b))
+    _check_iterations(scale, q)
     p = q
-    while p * scale > cut:  # as the product loops stop
+    while p * scale > CUT:  # as the product loops stop
         total += -p / (1.0 - b * p) * (1.0 + d * total)
         total += p / (a * (b - p)) * (1.0 + d * total)
         p *= q
     return total, p * scale * abs(1.0 + d * total) / (1.0 - q)
 
 
-def theta_dd_raw(a, b, c, q, cut):
+def theta_dd_raw(a, b, c, q):
     """T = [theta](a, b)/theta(c), P = theta(b)/theta(c) and A =
     theta(a)/theta(c), [theta](a, b) = (theta(a) - theta(b))/(a - b), in one
     pass over the factors f_i of theta divided by f_i(c): T <- (f_i(a) T +
@@ -80,8 +88,9 @@ def theta_dd_raw(a, b, c, q, cut):
     """
     T, P, A = -1.0 / (1.0 - c), (1.0 - b) / (1.0 - c), (1.0 - a) / (1.0 - c)
     scale = max(abs(a), abs(b), abs(c), 1.0 / abs(a), 1.0 / abs(b), 1.0 / abs(c))
+    _check_iterations(scale, q)
     p = q
-    while p * scale > cut:  # as the product loops stop
+    while p * scale > CUT:  # as the product loops stop
         g, f = 1.0 / (1.0 - c * p), 1.0 - a * p
         T = (f * T - p * P) * g
         P *= (1.0 - b * p) * g
@@ -94,21 +103,22 @@ def theta_dd_raw(a, b, c, q, cut):
     return T, P, A
 
 
-def zlogderiv_dd_raw(a, b, q, cut):
+def zlogderiv_dd_raw(a, b, q):
     """Divided difference [F](a, b) = (F(a) - F(b)) / (a - b) of
     F(z) = z theta'(z)/theta(z), term by term; F'(a) at a = b.  Not valid
     where a or b lies on q^Z.
     """
     total = -1.0 / ((1.0 - a) * (1.0 - b))
     scale = max(abs(a), abs(b), 1.0 / abs(a), 1.0 / abs(b))
+    _check_iterations(scale, q)
     p = q
-    while p * scale > cut:  # as the product loops stop
+    while p * scale > CUT:  # as the product loops stop
         total += -p / ((1.0 - a * p) * (1.0 - b * p)) - p / ((a - p) * (b - p))
         p *= q
     return total, p * (1.0 + abs(1.0 / (a * b))) / (1.0 - q)
 
 
-def phi21_raw(a1, a2, b, z, q, cut, max_terms):
+def phi21_raw(a1, a2, b, z, q):
     """Partial sums of the 2phi1 basic hypergeometric series, |z| < 1.
 
     Terms follow the ratio recurrence
@@ -121,23 +131,40 @@ def phi21_raw(a1, a2, b, z, q, cut, max_terms):
     qa2 = complex(a2)
     qb = complex(b)
     qn = 1.0
-    n = 0
     az = abs(z)
-    while n < max_terms:
+    for n in range(1, _MAX_TERMS + 1):
         denom = (1.0 - qb * qn) * (1.0 - q * qn)
         if denom == 0.0:
             raise ZeroDivisionError("2phi1 series pole: b in q^{Z<=0}")
         term *= z * (1.0 - qa1 * qn) * (1.0 - qa2 * qn) / denom
         total += term
         qn *= q
-        n += 1
-        if abs(term) < cut and n > 2:
+        if abs(term) < CUT and n > 2:
             break
+    else:
+        raise ArithmeticError("2phi1 series did not converge")
     tail = abs(term) * az / max(1.0 - az, 1e-16)
     return total, tail, n
 
 
-def theta3_raw(z, q, cut):
+def phi21_b_zero_raw(C, z, b, q):
+    """(sum, last term) of lim_{B->0} 2phi1(C/B, z; b | B) =
+    sum_n (-C)^n q^{n(n-1)/2} (z;q)_n / ((b;q)_n (q;q)_n)."""
+    total = complex(1.0)
+    term = complex(1.0)
+    qn = 1.0
+    for n in range(_MAX_TERMS):
+        term *= (-C) * qn * (1.0 - z * qn) / ((1.0 - b * qn) * (1.0 - q * qn))
+        qn *= q
+        total += term
+        if abs(term) < CUT and n > 2:
+            break
+    else:
+        raise ArithmeticError("2phi1 limit series did not converge")
+    return total, abs(term)
+
+
+def theta3_raw(z, q):
     """Two-sided series sum_{n in Z} z^n q^{n^2/2} (paper-normalized nome)."""
     sq = q ** 0.5
     total = complex(1.0)
@@ -145,16 +172,14 @@ def theta3_raw(z, q, cut):
     zp = complex(1.0)
     zm = complex(1.0)
     w = 1.0  # sq^{n^2}
-    n = 0
-    while True:
-        n += 1
+    for n in range(1, _MAX_TERMS + 1):
         w *= sq ** (2 * n - 1)
         zp *= z
         zm /= z
         inc = w * (zp + zm)
         total += inc
-        if abs(inc) < cut and w < 1e-4:
+        if abs(inc) < CUT and w < 1e-4:
             break
-        if n > 100000:
-            raise ArithmeticError("theta3 series did not converge")
+    else:
+        raise ArithmeticError("theta3 series did not converge")
     return total, abs(inc)

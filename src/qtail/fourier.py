@@ -24,7 +24,7 @@ import numpy as np
 
 from ._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .kernels import AdmissiblePair, QContext, _PairPlan
-from .qspecial import CUT, REL_TOL, theta, theta_multi
+from .qspecial import REL_TOL, theta, theta_multi
 
 __all__ = [
     "truncation_order",
@@ -35,15 +35,15 @@ __all__ = [
 ]
 
 
-def truncation_order(pair: AdmissiblePair, ctx: QContext, tol: float) -> int:
-    """Number of lattice terms needed: the summand decays like rho^|m| with
-    rho = max(sqrt(q), |sqrt(q gamma/delta)|, |sqrt(q delta/gamma)|)."""
+def truncation_order(pair: AdmissiblePair, ctx: QContext) -> int:
+    """Lattice terms needed down to REL_TOL / 10: the summand decays like
+    rho^|m| with rho = max(sqrt(q), |sqrt(q gamma/delta)|, |sqrt(q delta/gamma)|)."""
     q = ctx.q.q
     r = abs(pair.gamma / pair.delta)
     rho = max(math.sqrt(q), math.sqrt(q * r), math.sqrt(q / r))
     if rho >= 1.0:
         raise ValueError("summand does not decay; pair outside admissible range")
-    return int(math.ceil(math.log(tol) / math.log(rho))) + 10
+    return int(math.ceil(math.log(REL_TOL / 10) / math.log(rho))) + 10
 
 
 def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:
@@ -54,7 +54,7 @@ def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarra
     pair and truncation order) are combined with cos(eta m) and
     e^{i eta m}.
     """
-    M = truncation_order(pair, ctx, REL_TOL / 10)
+    M = truncation_order(pair, ctx)
     dp, dm, a, pm, mp = _PairPlan.build(pair, ctx).lattice(M)
     m = np.arange(-M, M + 1)
     e = np.exp(1j * eta * m)
@@ -97,15 +97,15 @@ def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.nd
     a_g, a_d = -e * sq / g, -e * sq / d
     # the eta terms enter with sign opposite to F(z) = z theta'(z)/theta(z):
     # C (F(a_d) - F(a_g)) = B e sq h [F](a_g, a_d)
-    t = plan.B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv, CUT)[0]
+    t = plan.B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv)[0]
     # pm = -pref/B C (X(gamma, delta) - X(delta, gamma)), X(gamma, delta) =
     # th_gpdm theta(b_g)/theta(a_g).  E <- E + k (1 + eps E) carries (product
     # - 1)/eps over the factors 1 + eps k of the ratio of the two X but
     # theta(b_d)/theta(b_g), taken as a divided difference: theta(b_g) may be 0.
-    k = -e * sq * h * theta_ratio_dd_raw(a_g, a_d, qv, CUT)[0]
+    k = -e * sq * h * theta_ratio_dd_raw(a_g, a_d, qv)[0]
     E += k * (1.0 + eps * E)
     # [theta](b_d, b_g)/theta(a_g) and theta(b_g)/theta(a_g)
-    dd_b, r_b, _ = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv, CUT)
+    dd_b, r_b, _ = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv)
     Z = th_gpdm * (r_b * E - (1.0 + eps * E) * e * r2 * sq * h * dd_b)
     # mp is pm at e^{-i eta} (by theta(z) = theta(q/z)), which for a real
     # pair or one stored with delta = conj(gamma) makes its Z conj(Z).

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._core import logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, phi21
-from .qspecial import CUT, DomainError, EvalResult, QParam, log_theta, qpoch_inf, qpoch_multi, theta
+from .qspecial import DomainError, EvalResult, QParam, log_theta, qpoch_inf, qpoch_multi, theta
 
 __all__ = [
     "QContext",
@@ -210,11 +210,6 @@ def validate_quadruple(alpha, beta, gamma, delta, ctx: QContext) -> AdmissibleQu
 # ---------------------------------------------------------------------------
 
 
-def _log_qpoch(z: complex, q: QParam) -> complex:
-    val, _ = logqpoch_raw(complex(z), q.q, CUT)
-    return val
-
-
 def _expm1(z: complex) -> complex:
     """e^z - 1 without cancellation at small |z| (cmath has no expm1)."""
     h = math.sin(0.5 * z.imag)
@@ -275,11 +270,11 @@ class _PairPlan:
         q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
         lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz = (
             log_theta(z, q) for z in (g * zm, g * zp, d * zm, d * zp, zm / zp, g * d * zm * zp))
-        lqq = _log_qpoch(q.q, q).real
+        lqq = logqpoch_raw(q.q, q.q)[0].real
         # B = -theta(g zm, g zp, d zm, d zp)
         #     / (zp theta(zm/zp, g d zm zp) (q g/d, q d/g, q, q; q)_inf)
         logB = lt_gm + lt_gp + lt_dm + lt_dp + 1j * math.pi - math.log(zp) - lt_zz - lt_gdzz
-        logB -= _log_qpoch(q.q * g / d, q) + _log_qpoch(q.q * d / g, q)
+        logB -= logqpoch_raw(q.q * g / d, q.q)[0] + logqpoch_raw(q.q * d / g, q.q)[0]
         logB -= 2.0 * lqq
         half_theta4 = 0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real
         R = math.sqrt((g * d).real)
@@ -303,7 +298,7 @@ class _PairPlan:
     def rho(self) -> tuple[complex, complex]:
         """rho(delta zeta, gamma zeta) at zeta_+ and at zeta_-."""
         g, d, qv = self.pair.gamma, self.pair.delta, self.ctx.q.q
-        return tuple(theta_ratio_dd_raw(d * zeta, g * zeta, qv, CUT)[0]
+        return tuple(theta_ratio_dd_raw(d * zeta, g * zeta, qv)[0]
                      for zeta in (self.ctx.zeta_plus, self.ctx.zeta_minus))
 
     @functools.cached_property
@@ -383,7 +378,7 @@ class _PairPlan:
         if sign not in self._diags:
             g, d = self.pair.gamma, self.pair.delta
             zeta = self.ctx.zeta_plus if sign > 0 else self.ctx.zeta_minus
-            dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q, CUT)
+            dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q)
             self._diags[sign] = sign * self.B * zeta * dd
         return self._diags[sign]
 
@@ -447,7 +442,7 @@ def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext) 
         # the product as theta_multi forms it, signed zeros included: when it
         # is negative real they choose the branch of the square root
         den = cmath.sqrt(complex(1.0) * tg * td)
-        rho, _ = theta_ratio_dd_raw(x * d, x * g, q.q, CUT)
+        rho, _ = theta_ratio_dd_raw(x * d, x * g, q.q)
         return math.sqrt(abs(x)) * tg / den, x * rho
 
     (qx, rx), (qy, ry) = side(float(xv)), side(float(yv))
@@ -548,10 +543,10 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     eps = 0.5 * _sing_distance(xv, pair, ctx)
     g, d = pair.gamma, pair.delta
     qv, c = ctx.q.q, xv * g
-    tx, _, rx = theta_dd_raw(xv * d, c, c, qv, CUT)  # rx = theta(x delta) / theta(x gamma)
+    tx, _, rx = theta_dd_raw(xv * d, c, c, qv)  # rx = theta(x delta) / theta(x gamma)
 
     def integrand(z: complex) -> tuple[complex, complex]:
-        t, pg, pd = theta_dd_raw(z * d, z * g, c, qv, CUT)
+        t, pg, pd = theta_dd_raw(z * d, z * g, c, qv)
         return cmath.log(z * rx / (xv * pg * pd)), z * t - xv * pg * tx
 
     B = _PairPlan.build(pair, ctx).B
@@ -620,7 +615,7 @@ def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext, sign: floa
     """
     q = ctx.q
     out = cmath.log(sign * z)
-    out += _log_qpoch(z * quad.alpha, q) + _log_qpoch(z * quad.beta, q)
+    out += logqpoch_raw(z * quad.alpha, q.q)[0] + logqpoch_raw(z * quad.beta, q.q)[0]
     out -= log_theta(z * quad.gamma, q) + log_theta(z * quad.delta, q)
     return out
 

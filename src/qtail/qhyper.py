@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._core import phi21_raw
-from .qspecial import ABS_FLOOR, CUT, DomainError, EvalResult, QParam, _q_power, qpoch_multi
+from ._core import phi21_b_zero_raw, phi21_raw
+from .qspecial import DomainError, EvalResult, QParam, _q_power, _quotient, qpoch_multi
 
 __all__ = [
     "Phi21Params",
@@ -30,7 +30,6 @@ __all__ = [
 
 CONT_RADIUS = 0.75
 POLE_EXCLUSION = 1e-6
-MAX_TERMS = 100_000
 
 
 class PoleError(ArithmeticError):
@@ -59,9 +58,7 @@ def phi21_series(p: Phi21Params, z: complex) -> EvalResult:
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"2phi1 series requires |z| < 1, got |z| = {abs(z):.3g}")
-    val, tail, n = phi21_raw(p.a1, p.a2, p.b, z, p.q.q, CUT, MAX_TERMS)
-    if n >= MAX_TERMS:
-        raise ArithmeticError("2phi1 series did not converge")
+    val, tail, _ = phi21_raw(p.a1, p.a2, p.b, z, p.q.q)
     return EvalResult(val, tail)
 
 
@@ -117,36 +114,11 @@ def heine_rhs(p: Phi21Params, z: complex) -> EvalResult:
     if den.value == 0:
         raise PoleError("Heine prefactor denominator vanishes")
     if abs(B) < 1e-14:
-        inner = _phi21_b_zero_limit(C, z, A * z, q)
+        inner = EvalResult(*phi21_b_zero_raw(C, z, A * z, q.q))
     else:
         inner = phi21(Phi21Params(C / B, z, A * z, q), B)
     return _quotient(num, den, inner)
 
-
-def _quotient(num: EvalResult, den: EvalResult, inner: EvalResult) -> EvalResult:
-    """num / den * inner, with the relative bounds of the three summed."""
-    val = num.value / den.value * inner.value
-    rel = (
-        num.abs_error_bound / max(abs(num.value), ABS_FLOOR)
-        + den.abs_error_bound / max(abs(den.value), ABS_FLOOR)
-        + inner.abs_error_bound / max(abs(inner.value), ABS_FLOOR)
-    )
-    return EvalResult(val, abs(val) * rel)
-
-
-def _phi21_b_zero_limit(C, z, b, q: QParam) -> EvalResult:
-    """lim_{B->0} 2phi1(C/B, z; b | B) = sum_n (-C)^n q^{n(n-1)/2} (z;q)_n / ((b;q)_n (q;q)_n)."""
-    total = complex(1.0)
-    term = complex(1.0)
-    qq = q.q
-    qn = 1.0
-    for n in range(MAX_TERMS):
-        term *= (-C) * qn * (1.0 - z * qn) / ((1.0 - b * qn) * (1.0 - qq * qn))
-        qn *= qq
-        total += term
-        if abs(term) < CUT and n > 2:
-            break
-    return EvalResult(total, abs(term))
 
 
 def watson_rhs(p: Phi21Params, z: complex) -> EvalResult:

@@ -10,11 +10,9 @@ Note theta3 uses nome parameter q^{1/2} relative to the textbook convention.
 theta, log_theta and theta_logderiv first write z = q^n w with w on the
 annulus sqrt(q) <= |w| < 1/sqrt(q); ``_q_power`` is the package's one test
 for v in q^Z.  Functions that return an EvalResult carry a truncation-tail
-bound in it; log_theta and theta_logderiv return a plain complex.
-
-Every value in the package is computed to one precision target, the
-relative tolerance ``REL_TOL``: products and series drop their terms below
-``CUT = REL_TOL * 1e-3``.
+bound in it; log_theta and theta_logderiv return a plain complex.  The
+precision target ``REL_TOL`` and the cut-off ``CUT`` are re-exported from
+``_core``, whose loops apply them.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from ._core import _MAX_ITER, logqpoch_raw, qpoch_raw, theta3_raw, theta_ratio_dd_raw
+from ._core import CUT, REL_TOL, logqpoch_raw, qpoch_raw, theta3_raw, theta_ratio_dd_raw
 
 __all__ = [
     "QParam",
@@ -45,8 +43,7 @@ __all__ = [
 PI2 = math.pi * math.pi
 TWO_PI_I = 2j * math.pi
 ABS_FLOOR = 1e-300  # smallest magnitude a relative error bound divides by
-REL_TOL = 1e-12  # the one relative precision target
-CUT = REL_TOL * 1e-3  # truncation threshold for series and product terms
+QPOW_EPS = 1e-12  # relative distance within which v counts as a power of q
 
 
 class DomainError(ValueError):
@@ -86,7 +83,7 @@ class EvalResult:
 
 def qpoch_inf(z: complex, q: QParam) -> EvalResult:
     """(z; q)_inf, entire in z."""
-    val, err = qpoch_raw(complex(z), q.q, CUT)
+    val, err = qpoch_raw(complex(z), q.q)
     return EvalResult(val, err)
 
 
@@ -101,8 +98,21 @@ def qpoch_multi(zs, q: QParam) -> EvalResult:
     for z in zs:
         r = qpoch_inf(z, q)
         prod *= r.value
-        rel += r.abs_error_bound / max(abs(r.value), ABS_FLOOR)
+        rel += _rel(r.value, r.abs_error_bound)
     return EvalResult(prod, abs(prod) * rel)
+
+
+def _rel(value: complex, bound: float) -> float:
+    """Relative error bound; those of the factors of a product add."""
+    return bound / max(abs(value), ABS_FLOOR)
+
+
+def _quotient(num: EvalResult, den: EvalResult, inner: EvalResult) -> EvalResult:
+    """num / den * inner, with the relative bounds of the three summed."""
+    val = num.value / den.value * inner.value
+    rel = (_rel(num.value, num.abs_error_bound) + _rel(den.value, den.abs_error_bound)
+           + _rel(inner.value, inner.abs_error_bound))
+    return EvalResult(val, abs(val) * rel)
 
 
 def _reduce_to_annulus(z: complex, q: float) -> tuple[complex, int]:
@@ -111,15 +121,15 @@ def _reduce_to_annulus(z: complex, q: float) -> tuple[complex, int]:
     return z * q ** (-n), n
 
 
-def _q_power(v: complex, q: float, eps: float = 1e-12) -> int | None:
-    """The n with v within relative eps of q^n, or None; v = 0 and every v
-    off the positive axis give None."""
+def _q_power(v: complex, q: float) -> int | None:
+    """The n with v within relative QPOW_EPS of q^n, or None; v = 0 and
+    every v off the positive axis give None."""
     v = complex(v)
-    if v.real <= 0.0 or abs(v.imag) > eps * abs(v):
+    if v.real <= 0.0 or abs(v.imag) > QPOW_EPS * abs(v):
         return None
     t = math.log(v.real) / math.log(q)
     n = round(t)
-    return n if abs(t - n) < eps else None
+    return n if abs(t - n) < QPOW_EPS else None
 
 
 def theta(z: complex, q: QParam) -> EvalResult:
@@ -134,10 +144,10 @@ def theta(z: complex, q: QParam) -> EvalResult:
     if _q_power(z, q.q) is not None:
         return EvalResult(0.0, 0.0)
     w, n = _reduce_to_annulus(z, q.q)
-    v1, e1 = qpoch_raw(w, q.q, CUT)
-    v2, e2 = qpoch_raw(q.q / w, q.q, CUT)
+    v1, e1 = qpoch_raw(w, q.q)
+    v2, e2 = qpoch_raw(q.q / w, q.q)
     base = v1 * v2
-    rel = e1 / max(abs(v1), ABS_FLOOR) + e2 / max(abs(v2), ABS_FLOOR)
+    rel = _rel(v1, e1) + _rel(v2, e2)
     if n == 0:
         return EvalResult(base, abs(base) * rel)
     log_fac = -0.5 * n * (n - 1) * math.log(q.q) - n * cmath.log(w)
@@ -156,7 +166,7 @@ def theta_multi(zs, q: QParam) -> EvalResult:
         if r.value == 0.0:
             return EvalResult(0.0, 0.0)
         prod *= r.value
-        rel += r.abs_error_bound / max(abs(r.value), ABS_FLOOR)
+        rel += _rel(r.value, r.abs_error_bound)
     return EvalResult(prod, abs(prod) * rel)
 
 
@@ -170,8 +180,8 @@ def log_theta(z: complex, q: QParam) -> complex:
     if z == 0 or _q_power(z, q.q) is not None:
         raise DomainError("log theta undefined at a zero of theta")
     w, n = _reduce_to_annulus(z, q.q)
-    l1, _ = logqpoch_raw(w, q.q, CUT)
-    l2, _ = logqpoch_raw(q.q / w, q.q, CUT)
+    l1, _ = logqpoch_raw(w, q.q)
+    l2, _ = logqpoch_raw(q.q / w, q.q)
     out = l1 + l2
     if n != 0:
         out += 1j * math.pi * n - 0.5 * n * (n - 1) * math.log(q.q) - n * cmath.log(w)
@@ -188,10 +198,7 @@ def theta_logderiv(z: complex, q: QParam) -> complex:
     w, n = _reduce_to_annulus(z, q.q)
     if n == 0:
         w = z  # z * 1.0 can flip the sign of a zero part
-    # the loop runs until q^i max(|w|, 1/|w|) <= cut and has no cap of its own
-    if math.log(CUT / max(abs(w), 1.0 / abs(w))) / math.log(q.q) > _MAX_ITER:
-        raise ArithmeticError("theta log-derivative did not converge")
-    L = theta_ratio_dd_raw(w, w, q.q, CUT)[0]
+    L = theta_ratio_dd_raw(w, w, q.q)[0]
     return L if n == 0 else q.q ** -n * (L - n / w)
 
 
@@ -222,7 +229,7 @@ def theta3(z: complex, q: QParam) -> EvalResult:
     z = complex(z)
     if z == 0:
         raise DomainError("theta3 undefined at z = 0")
-    val, err = theta3_raw(z, q.q, CUT)
+    val, err = theta3_raw(z, q.q)
     return EvalResult(val, err)
 
 
@@ -240,5 +247,5 @@ def jacobi_imaginary_rhs(z: complex, q: QParam) -> EvalResult:
     qdual = math.exp(-4.0 * PI2 / r)
     zdual = cmath.exp(4.0 * PI2 * u / r)
     pref = math.sqrt(2.0 * math.pi / r) * cmath.exp(-2.0 * PI2 * u * u / r)
-    val, err = theta3_raw(zdual, qdual, CUT)
+    val, err = theta3_raw(zdual, qdual)
     return EvalResult(pref * val, abs(pref) * err)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qtail
+from qtail import _core
 from qtail.cli import main
 from qtail.verify import SUITES
 
@@ -29,16 +30,29 @@ def test_exports_are_consistent():
 
 
 def test_no_tolerance_parameter():
-    """Every value is computed to the one precision qspecial.REL_TOL: no
-    callable re-exported by the package root (exception classes aside) and
-    no registry suite takes a tolerance."""
-    callables = {name: obj for name, obj in vars(qtail).items()
-                 if callable(obj) and not name.startswith("_")
+    """Every value is computed to the one precision REL_TOL: no callable in
+    any module's ``__all__`` (exception classes aside) and no registry suite
+    takes a tolerance."""
+    callables = {}
+    for info in pkgutil.iter_modules(qtail.__path__):
+        mod = importlib.import_module(f"qtail.{info.name}")
+        callables.update((f"{info.name}.{name}", getattr(mod, name))
+                         for name in getattr(mod, "__all__", ()))
+    callables = {name: obj for name, obj in callables.items() if callable(obj)
                  and not (isinstance(obj, type) and issubclass(obj, Exception))}
     callables.update((f"SUITES[{name!r}]", suite) for name, suite in SUITES.items())
     with_tol = [name for name, obj in callables.items()
                 if "tol" in inspect.signature(obj).parameters]
     assert not with_tol, f"{with_tol} take a tol parameter"
+
+
+def test_core_loops_take_no_truncation_parameter():
+    """The raw loops own the truncation rule: none takes a cut-off or a term
+    cap."""
+    loops = [name for name, obj in vars(_core).items()
+             if inspect.isfunction(obj)
+             and {"cut", "max_terms"} & set(inspect.signature(obj).parameters)]
+    assert not loops, f"{loops} take a truncation parameter"
 
 
 def test_no_tolerance_export():
