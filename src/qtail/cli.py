@@ -233,7 +233,7 @@ def scan_trig(args) -> int:
 
 
 def scan_sine(args) -> int:
-    reg = RegimeI(phi=args.phi, s=args.s, q_sweep=tuple(args.q_sweep))
+    reg = RegimeI(phi=args.phi, q_sweep=tuple(args.q_sweep))
     scan = sine_limit_scan(args.m, args.n, args.sign, reg)
     return _emit_scan(args, [{"q": q, "error": e} for q, e in scan])
 
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mirrored", action="store_true")
     p.add_argument("--q-sweep", type=finite_float, nargs="+", default=list(RegimeII.q_sweep))
     p = _leaf(scans, "sine", scan_sine, "sine limit error over a q sweep")
-    _flags(p, finite_float, phi=1.2, s=1.0)
+    _flags(p, finite_float, phi=1.2)
     _flags(p, int, m=1, n=0)
     p.add_argument("--sign", type=int, choices=(1, -1), default=1)
     p.add_argument("--q-sweep", type=finite_float, nargs="+", default=list(RegimeI.q_sweep))

@@ -18,13 +18,12 @@ that.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
 from ._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
-from .kernels import AdmissiblePair, QContext, _PairPlan
-from .qspecial import REL_TOL, theta, theta_multi
+from .kernels import AdmissiblePair, QContext, _PairPlan, truncation_order
+from .qspecial import theta, theta_multi
 
 __all__ = [
     "truncation_order",
@@ -35,34 +34,22 @@ __all__ = [
 ]
 
 
-def truncation_order(pair: AdmissiblePair, ctx: QContext) -> int:
-    """Lattice terms needed down to REL_TOL / 10: the summand decays like
-    rho^|m| with rho = max(sqrt(q), |sqrt(q gamma/delta)|, |sqrt(q delta/gamma)|)."""
-    q = ctx.q.q
-    r = abs(pair.gamma / pair.delta)
-    rho = max(math.sqrt(q), math.sqrt(q * r), math.sqrt(q / r))
-    if rho >= 1.0:
-        raise ValueError("summand does not decay; pair outside admissible range")
-    return int(math.ceil(math.log(REL_TOL / 10) / math.log(rho))) + 10
-
-
 def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:
     """Truncated lattice sum, dropping terms below REL_TOL / 10.
 
     The gauged kernel is q-shift invariant, so eta enters only through
-    e^{i eta m}: the pair plan's lattice coefficients (computed once per
-    pair and truncation order) are combined with cos(eta m) and
-    e^{i eta m}.
+    e^{i eta m}: each entry is e^{i eta m} summed against one row
+    T[i, j] of the pair plan's table of gauged values (computed once per
+    pair), and the even same-branch rows against 2 cos(eta m).
     """
-    M = truncation_order(pair, ctx)
-    dp, dm, a, pm, mp = _PairPlan.build(pair, ctx).lattice(M)
+    T = _PairPlan.build(pair, ctx).lattice
+    M = T.shape[2] // 2
     m = np.arange(-M, M + 1)
     e = np.exp(1j * eta * m)
-    # same-branch entries: the diagonal plus 2 cos(eta m) times the signed
-    # theta-power ratio (the gauge is trivial on the plus branch and
-    # cancels the (-1)^m on the minus branch)
-    same = complex(2.0 * np.cos(eta * m[M + 1:]) @ a)
-    return np.array([[dp + same, e @ pm], [e @ mp, dm - same]], dtype=complex)
+    # the minus row is the negated plus row off the centre
+    same = complex(2.0 * np.cos(eta * m[M + 1:]) @ T[0, 0, M + 1:])
+    return np.array([[T[0, 0, M] + same, e @ T[0, 1]], [e @ T[1, 0], T[1, 1, M] - same]],
+                    dtype=complex)
 
 
 def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:

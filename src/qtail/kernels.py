@@ -8,12 +8,14 @@ kernel families live here:
 * the two-parameter theta kernel ``elliptic_kernel`` built from theta
   quotients, with (gamma, delta) an admissible pair.
 
-Lattice values of the theta kernel are the closed forms of one pair plan,
-``_PairPlan`` (theta-power ratios off the diagonal, log-derivative forms on
-it), written with B = C (delta - gamma) so that gamma = delta takes the
-same path; large-magnitude combinations are assembled in log space so
-nothing overflows on the way to an O(1) kernel value.  Diagonal values of
-the four-parameter kernel use the contour-integral representation.
+Lattice values of the theta kernel are read from the gauged kernel
+``tilde`` of one pair plan, ``_PairPlan``: a function of the two branches
+and the exponent difference alone (theta-power ratios off the diagonal,
+log-derivative forms on it), written with B = C (delta - gamma) so that
+gamma = delta takes the same path; large-magnitude combinations are
+assembled in log space so nothing overflows on the way to an O(1) kernel
+value.  Diagonal values of the four-parameter kernel use the
+contour-integral representation.
 
 No error bound has been derived for any value here, so every EvalResult
 this module returns has abs_error_bound None.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -31,7 +34,8 @@ import numpy as np
 
 from ._core import logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, phi21
-from .qspecial import DomainError, EvalResult, QParam, log_theta, qpoch_inf, qpoch_multi, theta
+from .qspecial import (REL_TOL, DomainError, EvalResult, QParam, log_theta, qpoch_inf,
+                       qpoch_multi, theta)
 
 __all__ = [
     "QContext",
@@ -45,6 +49,7 @@ __all__ = [
     "elliptic_kernel",
     "elliptic_diag_contour",
     "closed_diag",
+    "truncation_order",
     "gauge_eps",
     "gauge_nu",
     "tilde_kernel",
@@ -86,7 +91,7 @@ class QContext:
 
 @dataclass(frozen=True)
 class LatticePoint:
-    """The lattice point zeta_{sign} q^k."""
+    """The lattice point zeta_{sign} q^k; k is stored as an int."""
 
     sign: int  # +1 or -1
     k: int
@@ -94,6 +99,9 @@ class LatticePoint:
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise DomainError("sign must be +1 or -1")
+        if not isinstance(self.k, numbers.Integral):
+            raise DomainError(f"lattice exponent must be an integer, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))
         if abs(self.k) > MAX_EXPONENT:
             raise DomainError(f"lattice exponent clamped to |k| <= {MAX_EXPONENT}")
 
@@ -239,8 +247,8 @@ class _PairPlan:
     every admissible pair takes one path.  ``build`` evaluates the six log
     thetas and log (q; q)_inf behind B; every other constant (D for the
     cross entries, the two diagonal values, the Fourier routes' prefactors,
-    the lattice-sum coefficients) is derived on first use and kept on the
-    plan, so it leaves the cache with the plan.
+    the table of ``tilde``, from which every lattice value is read) is
+    derived on first use and kept on the plan, so it leaves the cache with it.
     """
 
     pair: AdmissiblePair
@@ -261,7 +269,6 @@ class _PairPlan:
     half_theta4: float  # log sqrt(Theta), Theta = theta(gamma zeta_-+, delta zeta_-+) > 0
     v: complex  # theta(zeta_- delta) theta(zeta_+ gamma) / sqrt(Theta)
     _diags: dict = field(default_factory=dict, init=False, repr=False)
-    _lattices: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -352,24 +359,30 @@ class _PairPlan:
                 1.0 / (g * d), eps, r2, k1 + k2 * (1.0 + eps * k1), pref,
                 cmath.exp(self.lt_gp + self.lt_dm))
 
-    def same(self, x: int) -> complex:
-        """C sinh(x w) / sinh(x log(q) / 2), x != 0, the same-branch closed
-        forms up to a sign.  As delta - gamma = -2 R sinh(w), it is -(B / 2R)
-        (-1)^(kappa (x - 1)) sinh(x s) / (sinh(s) sinh(x log(q) / 2))."""
-        b = -0.5 * abs(x) * self.lq
-        return (-self.B / self.R * self.flip ** (x - 1)
-                * _sinh_quotient(abs(x), self.s, b) / math.expm1(-2.0 * b))
-
-    def cross(self, m: int, n: int) -> complex:
-        """K(zeta_+ q^m, zeta_- q^n) = (-1)^m C (e^{kw} u - e^{-kw} v) / e^l,
-        k = m - n, e^l = (x - y) / sqrt(|x y|); as the difference is e^{kw}
-        (u - v) + 2 v sinh(k w), = (-1)^m B (e^{kw} D - v sinh(k w) / (R sinh w)) / e^l."""
-        k = m - n
+    def tilde(self, s1: int, s2: int, d: int) -> complex:
+        """eps(x) eps(y) K(x, y) for x on branch s1, y on branch s2: by
+        q-translation invariance a function of d = k_x - k_y alone, diag(s1)
+        at d = 0 on one branch.  Elsewhere it is (-1)^d C sinh(d w) / sinh(d
+        log(q) / 2) on the plus branch, minus that on the minus branch, and
+        (-1)^d C (e^{kw} u - e^{-kw} v) / e^l across, k = s1 d, e^l = (x_+ -
+        x_-) / sqrt(|x_+ x_-|).  As delta - gamma = -2 R sinh(w) and the
+        difference is e^{kw} (u - v) + 2 v sinh(k w), they are -(-flip)^d flip
+        (B / 2R) sinh(d s) / (sinh(s) sinh(d log(q) / 2)) and (-flip)^d B
+        (e^{ks} D - flip v sinh(k s) / (R sinh(s))) / e^l."""
+        sign = (-self.flip) ** abs(d)
+        if s1 == s2:
+            if d == 0:
+                return self.diag(s1)
+            b = -0.5 * abs(d) * self.lq
+            val = (-self.B / self.R * (sign * self.flip)
+                   * _sinh_quotient(abs(d), self.s, b) / math.expm1(-2.0 * b))
+            return val if s1 > 0 else -val
+        k = s1 * d
         beta = abs(self.half_lr + 0.5 * k * self.lq)
         ell = beta + math.log1p(math.exp(-2.0 * beta))  # log(2 cosh(beta))
         val = (cmath.exp(k * self.s - ell) * self.D
                - self.flip * self.v * _sinh_quotient(k, self.s, ell) / self.R)
-        return (-1) ** m * self.flip ** k * self.B * val
+        return sign * self.B * val
 
     def diag(self, sign: int) -> complex:
         """K(zeta q^m, zeta q^m) = sign C (F(delta zeta) - F(gamma zeta))
@@ -383,37 +396,38 @@ class _PairPlan:
         return self._diags[sign]
 
     def entry(self, x: LatticePoint, y: LatticePoint) -> complex:
-        """K(x, y) at two lattice points: ``diag`` on the diagonal, ``same``
-        on one branch (with (-1)^(m + n) on the positive one) and ``cross``
-        across the branches, where K is symmetric."""
-        if x.sign != y.sign:
-            return self.cross(x.k, y.k) if x.sign > 0 else self.cross(y.k, x.k)
-        if x.k == y.k:
-            return self.diag(x.sign)
-        if x.sign > 0:
-            return (-1) ** (x.k + y.k) * self.same(x.k - y.k)
-        return -self.same(x.k - y.k)
+        """K(x, y) at two lattice points: ``tilde`` undone by the eps gauge."""
+        return gauge_eps(x) * gauge_eps(y) * self.tilde(x.sign, y.sign, x.k - y.k)
 
-    def lattice(self, M: int) -> tuple:
-        """The eta-independent coefficients of the lattice sum truncated at
-        |m| <= M, computed once per M from the methods above and kept on
-        the plan:
+    @functools.cached_property
+    def lattice(self) -> np.ndarray:
+        """The read-only table T[i, j, M + d] = tilde(s_i, s_j, d), |d| <= M =
+        truncation_order(pair, ctx), s_0 = +1, s_1 = -1.  T[0, 0] is even in
+        d, T[1, 1] is -T[0, 0] off the centre and T[1, 0] is T[0, 1]
+        reversed (K is symmetric), so 3M + 1 values and the diagonals fill it."""
+        M = truncation_order(self.pair, self.ctx)
+        T = np.empty((2, 2, 2 * M + 1), dtype=complex)
+        T[0, 1] = [self.tilde(1, -1, d) for d in range(-M, M + 1)]
+        T[1, 0] = T[0, 1, ::-1]
+        T[0, 0, M + 1:] = [self.tilde(1, 1, d) for d in range(1, M + 1)]
+        T[0, 0, :M] = T[0, 0, :M:-1]
+        T[1, 1] = -T[0, 0]
+        T[0, 0, M], T[1, 1, M] = self.diag(1), self.diag(-1)
+        if not np.all(np.isfinite(T)):
+            raise OverflowError("lattice-sum coefficient leaves double range")
+        T.setflags(write=False)
+        return T
 
-        (diag(+1), diag(-1), a, pm, mp) with a[m-1] = (-1)^m same(m) for
-        m = 1..M, pm[m+M] = cross(m, 0) and mp[m+M] = (-1)^m cross(0, m)
-        for m = -M..M.  The arrays are read-only.
-        """
-        if M not in self._lattices:
-            ms = range(-M, M + 1)
-            a = np.array([(-1) ** m * self.same(m) for m in range(1, M + 1)], dtype=complex)
-            pm = np.array([self.cross(m, 0) for m in ms], dtype=complex)
-            mp = np.array([(-1) ** m * self.cross(0, m) for m in ms], dtype=complex)
-            for arr in (a, pm, mp):
-                if not np.all(np.isfinite(arr)):
-                    raise OverflowError("lattice-sum coefficient leaves double range")
-                arr.setflags(write=False)
-            self._lattices[M] = self.diag(1), self.diag(-1), a, pm, mp
-        return self._lattices[M]
+
+def truncation_order(pair: AdmissiblePair, ctx: QContext) -> int:
+    """Lattice terms needed down to REL_TOL / 10: the summand decays like
+    rho^|m| with rho = max(sqrt(q), |sqrt(q gamma/delta)|, |sqrt(q delta/gamma)|)."""
+    q = ctx.q.q
+    r = abs(pair.gamma / pair.delta)
+    rho = max(math.sqrt(q), math.sqrt(q * r), math.sqrt(q / r))
+    if rho >= 1.0:
+        raise ValueError("summand does not decay; pair outside admissible range")
+    return int(math.ceil(math.log(REL_TOL / 10) / math.log(rho))) + 10
 
 
 def log_C_elliptic(pair: AdmissiblePair, ctx: QContext) -> complex:
@@ -567,25 +581,22 @@ def gauge_nu(x: LatticePoint) -> int:
 def tilde_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair,
                  ctx: QContext) -> EvalResult:
     """eps-gauged theta kernel; q-translation-invariant."""
-    r = elliptic_kernel(x, y, pair, ctx)
-    s = gauge_eps(x) * gauge_eps(y)
-    return EvalResult(s * r.value, r.abs_error_bound)
+    return EvalResult(_PairPlan.build(pair, ctx).tilde(x.sign, y.sign, x.k - y.k), None)
 
 
 def hat_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     """Particle-hole involution of the gauged theta kernel on the positive
     branch.
 
-    With bK = nu(x) nu(y) K: delta_{xy} - bK on (+,+), -bK on (-,+), and
-    +bK whenever y lies on the negative branch.
+    With bK = nu(x) nu(y) K = (-1)^d tilde, d = k_x - k_y (nu eps is (-1)^k
+    on both branches): delta_{xy} - bK when y lies on the positive branch
+    and +bK when it lies on the negative one.
     """
-    r = elliptic_kernel(x, y, pair, ctx)
-    bold = gauge_nu(x) * gauge_nu(y) * r.value
+    d = x.k - y.k
+    bold = (-1) ** d * _PairPlan.build(pair, ctx).tilde(x.sign, y.sign, d)
     if y.sign < 0:
-        return EvalResult(bold, r.abs_error_bound)
-    if x.sign > 0:
-        return EvalResult((1.0 if x == y else 0.0) - bold, r.abs_error_bound)
-    return EvalResult(-bold, r.abs_error_bound)
+        return EvalResult(bold, None)
+    return EvalResult((1.0 if x == y else 0.0) - bold, None)
 
 
 # ---------------------------------------------------------------------------

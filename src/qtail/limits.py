@@ -101,7 +101,7 @@ def tail_limit_scan(x, y, quad: AdmissibleQuadruple, ctx: QContext,
     if M_max < 0:
         raise DomainError("M_max must be a non-negative integer")
     target = elliptic_kernel(x, y, quad.pair, ctx).value
-    sgn = (1 if x.sign > 0 else -1) * (1 if y.sign > 0 else -1)
+    sgn = x.sign * y.sign
     out = []
     for M in range(M_max + 1):
         k = basic_kernel(x.shift(M), y.shift(M), quad, ctx).value
@@ -176,28 +176,23 @@ def trig_limit_scan(u: float, v: float, i: int, j: int, regime: RegimeII, *,
 class RegimeI:
     """q -> 1 scaling data for the discrete sine limit.
 
-    The pair is the conjugate pair gamma = e^{i phi}, delta =
-    conj(gamma); the reference scale s fixes the lattice window through
-    m_q = round(ln s / ln q).
+    The pair is the conjugate pair gamma = e^{i phi}, delta = conj(gamma).
     """
 
     phi: float
-    s: float = 1.0
     q_sweep: tuple[float, ...] = (0.9, 0.95, 0.99, 0.995)
 
     def __post_init__(self):
         if not 0.0 < self.phi < math.pi:
             raise DomainError("phi must lie in (0, pi)")
-        if self.s <= 0.0:
-            raise DomainError("s must be positive")
 
 
 def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI) -> list[tuple[float, float]]:
-    """|K(zeta q^{m_q + m}, zeta q^{m_q + n}) - Ksine(m, n)| over the
-    q-sweep; the limit phase is pi - phi on the positive branch and phi on
-    the negative one.
+    """|K(zeta q^m, zeta q^n) - Ksine(m, n)| over the q-sweep; the limit
+    phase is pi - phi on the positive branch and phi on the negative one.
 
-    Same-branch values of the kernel depend only on m - n, so no gauge is
+    On one branch the kernel is q-translation invariant, a function of
+    m - n alone, so the window may sit at any exponent and no gauge is
     needed (the alternating gauge would flip odd differences on the
     negative branch)."""
     if sign not in (1, -1):
@@ -209,9 +204,6 @@ def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI) -> list[tuple[fl
         ctx = QContext(QParam(q), 1.0, -1.0)
         g = cmath.exp(1j * regime.phi)
         pair = validate_pair(g, g.conjugate(), ctx)
-        m_q = round(math.log(regime.s) / math.log(q))
-        x = ctx.point(sign, m_q + m)
-        y = ctx.point(sign, m_q + n)
-        val = elliptic_kernel(x, y, pair, ctx).value
+        val = elliptic_kernel(ctx.point(sign, m), ctx.point(sign, n), pair, ctx).value
         out.append((q, abs(val - target)))
     return out

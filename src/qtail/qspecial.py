@@ -81,9 +81,17 @@ class EvalResult:
         return complex(self.value)
 
 
+def _finite(z) -> complex:
+    """complex(z); a nan or infinite part raises (``_q_power`` reads 1+nan*i as 1)."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument must be finite, got {z!r}")
+    return z
+
+
 def qpoch_inf(z: complex, q: QParam) -> EvalResult:
     """(z; q)_inf, entire in z."""
-    val, err = qpoch_raw(complex(z), q.q)
+    val, err = qpoch_raw(_finite(z), q.q)
     return EvalResult(val, err)
 
 
@@ -138,7 +146,7 @@ def theta(z: complex, q: QParam) -> EvalResult:
 
     Points of q^Z return exactly 0 (the zeros are simple and known).
     """
-    z = complex(z)
+    z = _finite(z)
     if z == 0:
         raise DomainError("theta_q is undefined at z = 0")
     if _q_power(z, q.q) is not None:
@@ -176,7 +184,7 @@ def log_theta(z: complex, q: QParam) -> complex:
     Overflow-safe: works for any magnitude of theta.  Only differences and
     exponentials of these logs are meaningful.
     """
-    z = complex(z)
+    z = _finite(z)
     if z == 0 or _q_power(z, q.q) is not None:
         raise DomainError("log theta undefined at a zero of theta")
     w, n = _reduce_to_annulus(z, q.q)
@@ -192,7 +200,7 @@ def theta_logderiv(z: complex, q: QParam) -> complex:
     """L(z) = theta_q'(z) / theta_q(z), with argument reduction z = q^n w:
     L(z) = q^-n (L(w) - n / w), and L(w) is the divided difference rho(w, w)
     of theta(a)/theta(b)."""
-    z = complex(z)
+    z = _finite(z)
     if z == 0 or _q_power(z, q.q) is not None:
         raise DomainError("theta log-derivative undefined on q^Z and at 0")
     w, n = _reduce_to_annulus(z, q.q)
@@ -208,7 +216,7 @@ def theta_deriv(z: complex, q: QParam) -> EvalResult:
     Generic z: theta_q(z) times the log-derivative series.  At the simple
     zeros q^n the exact closed value is returned; theta'(1) = -(q; q)_inf^2.
     """
-    z = complex(z)
+    z = _finite(z)
     if z == 0:
         raise DomainError("theta_q' undefined at z = 0")
     n = _q_power(z, q.q)
@@ -226,7 +234,7 @@ def theta_deriv(z: complex, q: QParam) -> EvalResult:
 
 def theta3(z: complex, q: QParam) -> EvalResult:
     """Jacobi theta_3 with the q^{1/2}-nome convention; entire on C*."""
-    z = complex(z)
+    z = _finite(z)
     if z == 0:
         raise DomainError("theta3 undefined at z = 0")
     val, err = theta3_raw(z, q.q)
@@ -239,7 +247,7 @@ def jacobi_imaginary_rhs(z: complex, q: QParam) -> EvalResult:
     Equals theta3(z; q); evaluated through the dual nome exp(-4 pi^2 / r),
     which converges fastest when q is close to 1.
     """
-    z = complex(z)
+    z = _finite(z)
     if z == 0 or (z.imag == 0.0 and z.real < 0.0):
         raise DomainError("principal logarithm undefined on the cut R_{<=0}")
     r = q.r

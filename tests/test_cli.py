@@ -179,8 +179,16 @@ class TestScan:
         out = tmp_path / "sine.json"
         assert main(["scan", "sine", "--out", str(out)]) == EXIT_OK
         params = json.loads((tmp_path / "sine.json.manifest.json").read_text())["params"]
-        assert set(params) == {"command", "which", "phi", "s", "m", "n", "sign", "q_sweep",
+        assert set(params) == {"command", "which", "phi", "m", "n", "sign", "q_sweep",
                                "format", "out"}
+
+    def test_sine_scan_takes_no_scale(self, capsys):
+        # the kernel on one branch is q-translation invariant, so the scan
+        # has no window position to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "sine", "--s", "1.0"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--s" in _error_flags(capsys, "unrecognized arguments")
 
 
 class TestSample:

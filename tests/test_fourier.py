@@ -260,7 +260,8 @@ class TestRouteCaches:
         plans = [_PairPlan.build(pair, c) for c in (ctx, ctx2)]
         assert _PairPlan.build.cache_info().currsize == 2
         assert plans[0].closed_prefactors != plans[1].closed_prefactors
-        assert [len(p._lattices) for p in plans] == [1, 1]
+        assert all("lattice" in vars(p) for p in plans)
+        assert not np.array_equal(plans[0].lattice, plans[1].lattice)
 
     def test_size_stays_within_bound(self, ctx, cold_caches):
         assert _PairPlan.build.cache_info().maxsize == _CACHE_SIZE == 8
@@ -274,14 +275,13 @@ class TestRouteCaches:
         for route in self.ROUTES:
             route(0.7, pair, ctx)
         plan = _PairPlan.build(pair, ctx)
-        assert {"closed_prefactors", "lemma_prefactors", "D"} <= set(vars(plan))
-        (_, _, a, pm, mp), = plan._lattices.values()
-        refs = [weakref.ref(obj) for obj in (plan, a, pm, mp)]
-        del plan, a, pm, mp
+        assert {"closed_prefactors", "lemma_prefactors", "D", "lattice"} <= set(vars(plan))
+        refs = [weakref.ref(obj) for obj in (plan, plan.lattice)]
+        del plan
         for i in range(1, _CACHE_SIZE + 1):
             fourier_series(0.7, validate_pair(GAMMA_REF * (1.0 + 0.01 * i), DELTA_REF, ctx), ctx)
         gc.collect()
-        assert [r() for r in refs] == [None] * 4
+        assert [r() for r in refs] == [None] * 2
 
 
 class TestPlanLaziness:

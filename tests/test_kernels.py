@@ -29,7 +29,8 @@ from qtail import (
     validate_quadruple,
 )
 from qtail import kernels
-from qtail.kernels import _NODE_LIMIT, C_elliptic, _PairPlan, _diag_contour, _elliptic_direct
+from qtail.kernels import (_NODE_LIMIT, C_elliptic, _PairPlan, _diag_contour, _elliptic_direct,
+                           truncation_order)
 
 import theta_reference
 from conftest import DELTA_REF, GAMMA_REF
@@ -66,6 +67,15 @@ class TestLatticeTypes:
 
     def test_shift(self):
         assert LatticePoint(1, 2).shift(3) == LatticePoint(1, 5)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, math.nan, "3", 1 + 0j])
+    def test_exponent_must_be_an_integer(self, k):
+        with pytest.raises(DomainError):
+            LatticePoint(1, k)
+
+    def test_numpy_integer_exponent_is_stored_as_int(self):
+        x = LatticePoint(-1, np.int64(-3))
+        assert type(x.k) is int and x == LatticePoint(-1, -3)
 
     @pytest.mark.parametrize("k", [-400, 400])
     def test_value_outside_normal_double_range_raises(self, k):
@@ -258,13 +268,18 @@ class TestGauges:
         assert gauge_nu(LatticePoint(1, 3)) == -1
         assert gauge_nu(LatticePoint(-1, 3)) == 1
 
-    def test_tilde_translation_invariance(self, ctx, pair):
-        for (sx, kx), (sy, ky) in [((1, 0), (1, 2)), ((1, 1), (-1, 0)), ((-1, 0), (-1, 3))]:
-            base = tilde_kernel(ctx.point(sx, kx), ctx.point(sy, ky), pair, ctx).value
-            for dm in (1, 4, -3):
-                v = tilde_kernel(ctx.point(sx, kx + dm), ctx.point(sy, ky + dm),
-                                 pair, ctx).value
-                assert v == pytest.approx(base, rel=1e-11)
+    def test_tilde_translation_invariance(self, ctx, pair, principal_pair):
+        """Exact, on all four branch pairs, for shifts out to the |k| clamp."""
+        for p in (pair, principal_pair):
+            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                for kx, ky in ((0, 2), (1, 0), (0, 0), (-3, 1)):
+                    base = tilde_kernel(ctx.point(sx, kx), ctx.point(sy, ky), p, ctx).value
+                    top = kernels.MAX_EXPONENT - max(kx, ky)
+                    bottom = -kernels.MAX_EXPONENT - min(kx, ky)
+                    for dm in (1, 4, -3, top, bottom):
+                        v = tilde_kernel(ctx.point(sx, kx + dm), ctx.point(sy, ky + dm),
+                                         p, ctx).value
+                        assert v == base
 
     def test_hat_diagonal_is_complementary(self, ctx, pair):
         # particle-hole involution on the plus branch: 1 - K there
@@ -440,20 +455,23 @@ class TestPairPlanCache:
         assert _PairPlan.build(pair, ctx) is plans[0]
 
     def test_lattice_coefficients_match_entry_methods(self, ctx, pair, principal_pair):
-        """The arrays hold the scalar closed forms at the documented indices."""
+        """T[i, j, M + d] is tilde(s_i, s_j, d) bitwise for |d| <= M, with M
+        the truncation order, and entry is that value times the eps gauge."""
         for p in (pair, principal_pair):
             plan = _PairPlan.build(p, ctx)
-            M = 25
-            dp, dm, a, pm, mp = plan.lattice(M)
-            assert (dp, dm) == (plan.diag(1), plan.diag(-1))
-            want_a = [(-1) ** m * plan.same(m) for m in range(1, M + 1)]
-            want_pm = [plan.cross(m, 0) for m in range(-M, M + 1)]
-            want_mp = [(-1) ** m * plan.cross(0, m) for m in range(-M, M + 1)]
-            for got, want in ((a, want_a), (pm, want_pm), (mp, want_mp)):
-                assert np.array_equal(got, np.array(want))
+            T = plan.lattice
+            M = truncation_order(p, ctx)
+            assert T.shape == (2, 2, 2 * M + 1)
+            for i, s1 in enumerate((1, -1)):
+                for j, s2 in enumerate((1, -1)):
+                    want = [plan.tilde(s1, s2, d) for d in range(-M, M + 1)]
+                    assert _bits(T[i, j]) == _bits(want)
+                    for d in range(-M, M + 1):
+                        x, y = ctx.point(s1, d), ctx.point(s2, 0)
+                        assert plan.entry(x, y) == gauge_eps(x) * T[i, j, M + d]
+            assert (T[0, 0, M], T[1, 1, M]) == (plan.diag(1), plan.diag(-1))
 
     def test_lattice_coefficients_are_read_only(self, ctx, pair):
-        _, _, a, pm, mp = _PairPlan.build(pair, ctx).lattice(12)
-        for arr in (a, pm, mp):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        T = _PairPlan.build(pair, ctx).lattice
+        with pytest.raises(ValueError):
+            T[0, 1, 0] = 0.0

@@ -37,6 +37,18 @@ def brute_qpoch(z, q, n=300):
     return out
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
+@pytest.mark.parametrize("f", [
+    qpoch_inf, theta, theta_deriv, theta_logderiv, log_theta, theta3, jacobi_imaginary_rhs,
+    pytest.param(lambda z, q: qpoch_multi([0.3, z], q), id="qpoch_multi"),
+    pytest.param(lambda z, q: theta_multi([0.3, z], q), id="theta_multi"),
+])
+def test_non_finite_argument_is_a_domain_error(f, z):
+    # a nan imaginary part must not pass as a point of q^Z, where theta is 0
+    with pytest.raises(DomainError):
+        f(z, QParam(0.5))
+
+
 class TestQParam:
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_out_of_range(self, q):
