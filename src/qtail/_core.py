@@ -3,11 +3,15 @@
 Five product loops: q-Pochhammer, its log, and the divided differences
 rho of theta(a)/theta(b), [theta] and [z theta'/theta]; the theta
 log-derivative is rho at a = b.  Beside them the 2phi1 partial sums,
-their a2 -> 0 limit and theta3.  All functions are scalar and return plain tuples; argument
-reduction lives in the callers (``qspecial``, ``qhyper``, ``kernels``,
-``fourier``).  The truncation rule lives here alone: each loop drops the
-terms below ``CUT`` and raises ``ArithmeticError`` rather than exceed its
-cap, which a product loop checks before it starts.
+their a2 -> 0 limit, theta3 and the complex expm1 that the dual theta sum
+and the kernels' sinh quotients share.  All functions are scalar and
+return plain tuples; argument reduction lives in the callers
+(``qspecial``, ``qhyper``, ``kernels``, ``fourier``).  The truncation
+rule lives here: each loop drops the terms below ``CUT`` and raises
+``ArithmeticError`` rather than exceed its cap, which a product loop
+checks before it starts.  The one sum outside this module, the dual theta
+sum in ``qspecial``, drops its terms below the same ``CUT``; it has at
+most a few terms for q in (0.02, 1), so it needs no cap.
 """
 
 import cmath
@@ -24,6 +28,13 @@ def _check_iterations(scale, q):
     drops to CUT, would take more than _MAX_ITER factors."""
     if scale > CUT and math.log(scale / CUT) / -math.log(q) > _MAX_ITER:
         raise ArithmeticError(f"q-product needs over {_MAX_ITER} factors at q = {q}")
+
+
+def cexpm1(z):
+    """e^z - 1 without cancellation at small |z| (cmath has no expm1)."""
+    h = math.sin(0.5 * z.imag)
+    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * h * h,
+                   math.exp(z.real) * math.sin(z.imag))
 
 
 def qpoch_raw(z, q):

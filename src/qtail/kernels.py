@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
+from ._core import cexpm1, logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, phi21
 from .qspecial import (REL_TOL, DomainError, EvalResult, QParam, log_theta, qpoch_inf,
                        qpoch_multi, theta)
@@ -218,13 +218,6 @@ def validate_quadruple(alpha, beta, gamma, delta, ctx: QContext) -> AdmissibleQu
 # ---------------------------------------------------------------------------
 
 
-def _expm1(z: complex) -> complex:
-    """e^z - 1 without cancellation at small |z| (cmath has no expm1)."""
-    h = math.sin(0.5 * z.imag)
-    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * h * h,
-                   math.exp(z.real) * math.sin(z.imag))
-
-
 def _sinh_quotient(x: int, s: complex, b: float) -> complex:
     """e^-b sinh(x s) / sinh(s), integer x, and its limit x e^-b at s = 0;
     no overflow while b >= |Re(x s)| - O(1), no cancellation as s -> 0."""
@@ -233,7 +226,7 @@ def _sinh_quotient(x: int, s: complex, b: float) -> complex:
     A, sign = x * s, -0.5
     if A.real < 0:
         A, sign = -A, 0.5
-    return sign * cmath.exp(A - b) * _expm1(-2.0 * A) / cmath.sinh(s)
+    return sign * cmath.exp(A - b) * cexpm1(-2.0 * A) / cmath.sinh(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,20 +560,30 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     return _diag_contour(xv, eps, integrand, B * sign * xv / rx)
 
 
+def _require_points(*xs) -> None:
+    """Raise DomainError unless every argument is a LatticePoint."""
+    for x in xs:
+        if not isinstance(x, LatticePoint):
+            raise DomainError(f"a LatticePoint is required, got {x!r}")
+
+
 def gauge_eps(x: LatticePoint) -> int:
     """+1 on the positive branch, (-1)^k at zeta_- q^k."""
+    _require_points(x)
     return 1 if x.sign > 0 else (-1) ** x.k
 
 
 def gauge_nu(x: LatticePoint) -> int:
     """(-1)^k on the positive branch, trivial on the negative one (the
     combination of the alternating gauge with gauge_eps)."""
+    _require_points(x)
     return (-1) ** x.k if x.sign > 0 else 1
 
 
 def tilde_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair,
                  ctx: QContext) -> EvalResult:
     """eps-gauged theta kernel; q-translation-invariant."""
+    _require_points(x, y)
     return EvalResult(_PairPlan.build(pair, ctx).tilde(x.sign, y.sign, x.k - y.k), None)
 
 
@@ -592,6 +595,7 @@ def hat_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QCon
     on both branches): delta_{xy} - bK when y lies on the positive branch
     and +bK when it lies on the negative one.
     """
+    _require_points(x, y)
     d = x.k - y.k
     bold = (-1) ** d * _PairPlan.build(pair, ctx).tilde(x.sign, y.sign, d)
     if y.sign < 0:

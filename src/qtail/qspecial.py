@@ -9,19 +9,27 @@ Conventions (fixed throughout the package):
 Note theta3 uses nome parameter q^{1/2} relative to the textbook convention.
 theta, log_theta and theta_logderiv first write z = q^n w with w on the
 annulus sqrt(q) <= |w| < 1/sqrt(q); ``_q_power`` is the package's one test
-for v in q^Z.  Functions that return an EvalResult carry a truncation-tail
-bound in it; log_theta and theta_logderiv return a plain complex.  The
-precision target ``REL_TOL`` and the cut-off ``CUT`` are re-exported from
-``_core``, whose loops apply them.
+for v in q^Z.  On the annulus, theta and log_theta read log theta_q(w)
+from Jacobi's imaginary transformation (``_log_theta``): a Gaussian sum in
+the dual nome exp(-4 pi^2 / r), r = -ln q, of one to four terms for every
+q in [0.02, 0.995], where the product takes about 2 ln(CUT) / ln q
+factors.  theta is exp of that log, evaluated in the upper half-plane and
+conjugated for the lower one, so theta(conj z) is conj theta(z) bit for
+bit.  theta_logderiv and qpoch_inf remain products.  Functions that return
+an EvalResult carry a truncation-tail bound in it; log_theta and
+theta_logderiv return a plain complex.  The precision target ``REL_TOL``
+and the cut-off ``CUT`` are re-exported from ``_core``, whose loops apply
+them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
-from ._core import CUT, REL_TOL, logqpoch_raw, qpoch_raw, theta3_raw, theta_ratio_dd_raw
+from ._core import CUT, REL_TOL, cexpm1, qpoch_raw, theta3_raw, theta_ratio_dd_raw
 
 __all__ = [
     "QParam",
@@ -44,6 +52,8 @@ PI2 = math.pi * math.pi
 TWO_PI_I = 2j * math.pi
 ABS_FLOOR = 1e-300  # smallest magnitude a relative error bound divides by
 QPOW_EPS = 1e-12  # relative distance within which v counts as a power of q
+LOG_HUGE = math.log(sys.float_info.max)  # log |theta| beyond which theta overflows
+LOG_TINY = math.log(sys.float_info.min)  # and below which it leaves the normal range
 
 
 class DomainError(ValueError):
@@ -54,9 +64,14 @@ class DomainError(ValueError):
 class QParam:
     """The base q in (0, 1) together with the cached rate r = -ln q.
 
-    The safe working range for direct (non log-scale) evaluation is roughly
-    q in [0.02, 0.995]; the q -> 1 limit scans route extreme magnitudes
-    through log_theta.
+    The documented domain is q in [0.02, 0.995].  theta and log_theta take
+    a fixed handful of terms at any q in it.  |theta| grows like
+    exp(pi^2 / (6 r)) (about e^328 at q = 0.995), so theta raises
+    OverflowError where the value leaves the normal double range and
+    log_theta, which never overflows, serves the q -> 1 limit scans.  The
+    product loops (qpoch_inf, theta_logderiv, the kernels' divided
+    differences) take about 2 ln(CUT) / ln q factors and refuse q this
+    close to 1 beyond ``_core``'s factor cap.
     """
 
     q: float
@@ -140,29 +155,86 @@ def _q_power(v: complex, q: float) -> int | None:
     return n if abs(t - n) < QPOW_EPS else None
 
 
-def theta(z: complex, q: QParam) -> EvalResult:
-    """theta_q(z) = (z, q/z; q)_inf with argument reduction via
-    theta_q(q^n w) = (-1)^n q^{-n(n-1)/2} w^{-n} theta_q(w).
+def _log_theta(z: complex, q: QParam) -> tuple[complex, int, float]:
+    """(L, n, rel) with theta_q(z) = (-1)^n e^L and rel a bound on the
+    relative truncation error, for z off q^Z and 0 with Im z >= 0 (a +0.0
+    imaginary part on the real axis).
 
-    Points of q^Z return exactly 0 (the zeros are simple and known).
+    With z = q^n w, theta_q(z) = (-1)^n q^{-n(n-1)/2} w^{-n} theta_q(w).  On
+    the annulus, let u = log w / (2 pi i), v = u or -u with Re v >= 0, c =
+    2 pi^2 / r and a = c v.  Poisson summation of the triple-product series
+    (DLMF 20.7(viii)) and Dedekind's eta for (q; q)_inf give
+
+        log theta_q(w) = -i pi/2 + [i pi if Re u < 0] + i pi u + r/12 + c/12
+                         - log (q'; q')_inf - c (v - 1/2)^2
+                         + log(-expm1(-2a)) + log(1 + sum_{k>=1} t_k),
+
+    q' = e^{-2c}, t_k = (-1)^k e^{-c k(k+1) + 2ka} expm1(-2(2k+1)a) /
+    expm1(-2a), |t_k| <= (2k+1) e^{-c k^2}.  expm1 keeps the relative
+    accuracy as w -> 1, the zero of theta on the annulus.  rel is the first
+    dropped bound plus the dropped tail of log (q'; q')_inf.
+    """
+    w, n = _reduce_to_annulus(z, q.q)
+    lw = cmath.log(w)
+    r = q.r
+    c = 2.0 * PI2 / r
+    v = lw / TWO_PI_I
+    out = complex(r / 12.0 + c / 12.0, -0.5 * math.pi) + 0.5 * lw
+    if v.real < 0.0:
+        v = -v
+        out += 1j * math.pi
+    a2 = 2.0 * c * v
+    x = cexpm1(-a2)
+    total, k, bound = complex(1.0), 1, 3.0 * math.exp(-c)
+    while bound > CUT:
+        t = cmath.exp(k * (a2 - c * (k + 1))) * cexpm1(-(2 * k + 1) * a2) / x
+        total += -t if k % 2 else t
+        k += 1
+        bound = (2 * k + 1) * math.exp(-c * k * k)
+    qd = math.exp(-2.0 * c)
+    p, lqd = qd, 0.0
+    while p > CUT:
+        lqd += math.log1p(-p)
+        p *= qd
+    out += cmath.log(-x) + cmath.log(total) - lqd - c * (v - 0.5) ** 2
+    if n != 0:
+        out += 0.5 * n * (n - 1) * r - n * lw
+    return out, n, bound + p / (1.0 - qd)
+
+
+def _upper(z: complex) -> tuple[complex, bool]:
+    """(z or conj z, whichever has a nonnegative imaginary part with its
+    sign bit clear; whether z was conjugated)."""
+    lower = math.copysign(1.0, z.imag) < 0.0
+    return (z.conjugate() if lower else z), lower
+
+
+def theta(z: complex, q: QParam) -> EvalResult:
+    """theta_q(z) = (z, q/z; q)_inf, as exp of ``_log_theta``.
+
+    Points of q^Z return exactly 0 (the zeros are simple and known).  A
+    real z gives a value with an imaginary part of exactly 0, and
+    theta(conj z) is conj theta(z) bit for bit, signed zeros included.
+    Raises OverflowError where |theta| leaves the normal double range;
+    log_theta holds the value there.
     """
     z = _finite(z)
     if z == 0:
         raise DomainError("theta_q is undefined at z = 0")
     if _q_power(z, q.q) is not None:
         return EvalResult(0.0, 0.0)
-    w, n = _reduce_to_annulus(z, q.q)
-    v1, e1 = qpoch_raw(w, q.q)
-    v2, e2 = qpoch_raw(q.q / w, q.q)
-    base = v1 * v2
-    rel = _rel(v1, e1) + _rel(v2, e2)
-    if n == 0:
-        return EvalResult(base, abs(base) * rel)
-    log_fac = -0.5 * n * (n - 1) * math.log(q.q) - n * cmath.log(w)
-    if abs(log_fac.real) > 700.0:
-        raise OverflowError("theta prefactor exceeds double range; use log_theta")
-    fac = (-1) ** n * cmath.exp(log_fac)
-    val = fac * base
+    zu, lower = _upper(z)
+    lt, n, rel = _log_theta(zu, q)
+    if not LOG_TINY <= lt.real <= LOG_HUGE:
+        raise OverflowError(f"|theta| = e^{lt.real:.1f} leaves the normal double range; "
+                            "use log_theta")
+    val = cmath.exp(lt)
+    if n % 2:
+        val = -val
+    if zu.imag == 0.0:
+        val = complex(val.real, 0.0)
+    if lower:
+        val = val.conjugate()
     return EvalResult(val, abs(val) * rel)
 
 
@@ -182,18 +254,17 @@ def log_theta(z: complex, q: QParam) -> complex:
     """Complex logarithm of theta_q(z), defined modulo 2 pi i.
 
     Overflow-safe: works for any magnitude of theta.  Only differences and
-    exponentials of these logs are meaningful.
+    exponentials of these logs are meaningful.  log_theta(conj z) is conj
+    log_theta(z).
     """
     z = _finite(z)
     if z == 0 or _q_power(z, q.q) is not None:
         raise DomainError("log theta undefined at a zero of theta")
-    w, n = _reduce_to_annulus(z, q.q)
-    l1, _ = logqpoch_raw(w, q.q)
-    l2, _ = logqpoch_raw(q.q / w, q.q)
-    out = l1 + l2
-    if n != 0:
-        out += 1j * math.pi * n - 0.5 * n * (n - 1) * math.log(q.q) - n * cmath.log(w)
-    return out
+    zu, lower = _upper(z)
+    out, n, _ = _log_theta(zu, q)
+    if n % 2:
+        out += 1j * math.pi
+    return out.conjugate() if lower else out
 
 
 def theta_logderiv(z: complex, q: QParam) -> complex:

@@ -268,6 +268,17 @@ class TestGauges:
         assert gauge_nu(LatticePoint(1, 3)) == -1
         assert gauge_nu(LatticePoint(-1, 3)) == 1
 
+    @pytest.mark.parametrize("f", [gauge_eps, gauge_nu])
+    def test_gauge_rejects_a_plain_number(self, f):
+        with pytest.raises(DomainError, match="LatticePoint is required"):
+            f(0.5)
+
+    @pytest.mark.parametrize("f", [tilde_kernel, hat_kernel])
+    def test_gauged_kernel_rejects_a_plain_number(self, f, ctx, pair):
+        for x, y in ((0.5, LatticePoint(1, 0)), (LatticePoint(1, 0), -0.25)):
+            with pytest.raises(DomainError, match="LatticePoint is required"):
+                f(x, y, pair, ctx)
+
     def test_tilde_translation_invariance(self, ctx, pair, principal_pair):
         """Exact, on all four branch pairs, for shifts out to the |k| clamp."""
         for p in (pair, principal_pair):

@@ -3,10 +3,12 @@ errors, and finite-difference cross-checks."""
 
 import cmath
 import math
+import struct
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qtail import (
@@ -22,6 +24,7 @@ from qtail import (
     theta_logderiv,
     theta_multi,
 )
+from qtail import _core, qspecial
 
 import theta_reference
 
@@ -102,11 +105,17 @@ class TestQpoch:
 
 
 class TestTheta:
-    def test_definition(self):
-        q = QParam(0.45)
-        z = 0.3 + 0.7j
-        expect = brute_qpoch(z, q.q) * brute_qpoch(q.q / z, q.q)
-        assert theta(z, q).value == pytest.approx(expect, rel=1e-12)
+    @given(st.floats(0.02, 0.9), st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi))
+    @settings(max_examples=80, deadline=None)
+    def test_definition(self, q, t, phi):
+        """The dual sum against the product (z, q/z; q)_inf on the annulus
+        |z| = q^t, where neither reduces its argument; theta is exactly 0
+        within relative 1e-12 of its zero at 1."""
+        qp = QParam(q)
+        z = q ** t * cmath.exp(1j * phi)
+        assume(abs(z - 1.0) > 1e-9)
+        want = qpoch_inf(z, qp).value * qpoch_inf(q / z, qp).value
+        assert abs(theta(z, qp).value - want) <= 1e-13 * abs(want)
 
     @given(st.floats(0.1, 0.9), st.floats(0.2, 2.0), st.floats(0.1, 6.1))
     @settings(max_examples=80, deadline=None)
@@ -147,6 +156,48 @@ class TestTheta:
         with pytest.raises(OverflowError):
             theta(0.9 * 0.4 ** 800, QParam(0.4))
 
+    @pytest.mark.parametrize("z, q", [
+        (-0.995 ** 448, 0.995),  # |theta| = e^829: a prefactor of e^501 times e^328
+        (1.0002, 0.999),         # |theta| = e^-3298, next to the zero at 1
+    ])
+    def test_raises_where_the_value_leaves_the_normal_range(self, z, q):
+        L = log_theta(z, QParam(q))
+        assert not qspecial.LOG_TINY <= L.real <= qspecial.LOG_HUGE
+        with pytest.raises(OverflowError):
+            theta(z, QParam(q))
+
+    @pytest.mark.parametrize("q", [0.3, 0.85, 0.995])
+    def test_conjugate_symmetry_is_bitwise(self, q):
+        """theta(conj z) is conj theta(z) bit for bit, signed zeros included,
+        and a real z gives an imaginary part of exactly 0."""
+        qp = QParam(q)
+
+        def bits(v):
+            return struct.pack("dd", v.real, v.imag)
+
+        for x in (0.37, 0.93, 1.9, -0.37, -1.04, -1.9, 0.2 * q ** 5, -3.0 / q ** 4):
+            for y in (0.0, 1e-9, 0.4, 2.2):
+                z = complex(x, y)
+                a, b = theta(z, qp).value, theta(z.conjugate(), qp).value
+                assert bits(b) == bits(a.conjugate())
+                assert bits(log_theta(z.conjugate(), qp)) == bits(log_theta(z, qp).conjugate())
+                if y == 0.0:
+                    assert a.imag == 0.0 and math.copysign(1.0, b.imag) == -1.0
+
+    def test_takes_no_product(self, monkeypatch):
+        """At q = 0.995, where the product takes 13,800 factors, theta and
+        log_theta run on the dual sum alone."""
+        def refuse(*args):
+            raise AssertionError("product loop called")
+
+        for mod in (qspecial, _core):
+            for name in ("qpoch_raw", "logqpoch_raw"):
+                monkeypatch.setattr(mod, name, refuse, raising=False)
+        q = QParam(0.995)
+        for z in (0.9 + 0.3j, -1.02, 0.2, 7.0 - 1.0j):
+            v, L = theta(z, q).value, log_theta(z, q)
+            assert cmath.isfinite(v) and cmath.isfinite(L)
+
     def test_sign_alternates_between_lattice_zeros(self):
         q = QParam(0.5)
         for n in range(-3, 4):
@@ -157,6 +208,28 @@ class TestTheta:
     def test_multi_short_circuits_at_zero(self):
         q = QParam(0.5)
         assert theta_multi([0.3, q.q ** 2], q).value == 0.0
+
+
+# relative error gates of theta and log_theta against the product reference
+ACCURACY_GATE = {0.02: 3e-14, 0.3: 3e-14, 0.85: 3e-14, 0.95: 5e-13, 0.99: 5e-13, 0.995: 5e-13}
+# annulus points z = q^t e^{i phi} as (t, phi); phi = None puts z on the
+# negative real axis
+ANNULUS_POINTS = ((-0.45, 2.5), (-0.1, -1.2), (0.2, 0.3), (0.45, None))
+NEAR_ONE = (1.0 - 1e-3, 1.0 + 1e-5, 1.0 - 1e-7, 1.0 + 1e-9, 1.0 - 1e-11)
+
+
+@pytest.mark.parametrize("q", ACCURACY_GATE)
+def test_theta_and_log_theta_match_the_product_reference(q):
+    """Relative error on the annulus and at distances 1e-3 to 1e-11 from
+    the zero at 1, against the product at 20 digits; log_theta's error is
+    that of exp(log_theta)."""
+    qp, gate = QParam(q), ACCURACY_GATE[q]
+    zs = [-q ** t if phi is None else q ** t * cmath.exp(1j * phi) for t, phi in ANNULUS_POINTS]
+    for z in zs + list(NEAR_ONE):
+        want = theta_reference.theta_product(z, q)
+        with mp.workdps(30):
+            assert abs(mp.mpc(theta(z, qp).value) / want - 1) <= gate, z
+            assert abs(mp.expm1(mp.mpc(log_theta(z, qp)) - mp.log(want))) <= gate, z
 
 
 class TestLogTheta:

@@ -18,8 +18,12 @@ t = x gamma, where A = theta(gamma zeta_-)^2 theta(gamma zeta_+)^2 /
 
 Every quantity is summed at 40 digits from the float inputs, so the
 cancellation in the quotient form near gamma = delta costs nothing that
-shows at double precision.
+shows at double precision.  ``theta_product`` is the plain product at a
+precision sized from (q, z), for q up to 0.995, where mpmath's own
+q-functions give up.
 """
+
+import math
 
 import mpmath as mp
 
@@ -63,6 +67,24 @@ def _logderiv_d(z, q):
 def _mp(z):
     z = complex(z)
     return mp.mpf(z.real) if z.imag == 0 else mp.mpc(z.real, z.imag)
+
+
+def theta_product(z, q, digits=20):
+    """theta(z) = (z, q/z; q)_inf as an mpmath number good to ``digits``
+    significant digits, from the product of N factor pairs (1 - z p)(1 - p/z)
+    = 1 + p (p - z - 1/z), p = q^i.  N is the first i with q^i max(|z|, 1/|z|)
+    below 10^-digits (1 - q), so the dropped tail changes the log by at most
+    2 10^-digits; each factor rounds once, so the product runs at digits +
+    log10(N) + 5 digits."""
+    n = max(1, math.ceil(math.log(10.0 ** -digits * (1.0 - q) / max(abs(z), 1.0 / abs(z)))
+                         / math.log(q)))
+    with mp.workdps(digits + math.ceil(math.log10(n)) + 5):
+        q, z = mp.mpf(q), _mp(z)
+        s, p, out = z + 1 / z, q, 1 - z
+        for _ in range(n):
+            out *= 1 + p * (p - s)
+            p *= q
+        return out
 
 
 def theta(z, q) -> complex:
