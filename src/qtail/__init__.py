@@ -36,6 +36,7 @@ from .kernels import (
     AdmissiblePair,
     AdmissibleQuadruple,
     C_elliptic,
+    ConvergenceError,
     LatticePoint,
     QContext,
     basic_kernel,

@@ -4,9 +4,10 @@ Five product loops: q-Pochhammer, its log, and the divided differences
 rho of theta(a)/theta(b), [theta] and [z theta'/theta]; the theta
 log-derivative is rho at a = b.  Beside them the 2phi1 partial sums,
 their a2 -> 0 limit, theta3 and the complex expm1 that the dual theta sum
-and the kernels' sinh quotients share.  All functions are scalar and
-return plain tuples; argument reduction lives in the callers
-(``qspecial``, ``qhyper``, ``kernels``, ``fourier``).  The truncation
+and the kernels' sinh quotients share.  The functions take scalars and
+return plain tuples, except that ``theta_dd_raw`` also takes arrays of
+``a`` and ``b`` and then returns arrays.  Argument reduction lives in the
+callers (``qspecial``, ``qhyper``, ``kernels``, ``fourier``).  The truncation
 rule lives here: each loop drops the terms below ``CUT`` and raises
 ``ArithmeticError`` rather than exceed its cap, which a product loop
 checks before it starts.  The one sum outside this module, the dual theta
@@ -16,6 +17,8 @@ most a few terms for q in (0.02, 1), so it needs no cap.
 
 import cmath
 import math
+
+import numpy as np
 
 REL_TOL = 1e-12  # the one relative precision target
 CUT = REL_TOL * 1e-3  # truncation threshold for series and product terms
@@ -28,6 +31,15 @@ def _check_iterations(scale, q):
     drops to CUT, would take more than _MAX_ITER factors."""
     if scale > CUT and math.log(scale / CUT) / -math.log(q) > _MAX_ITER:
         raise ArithmeticError(f"q-product needs over {_MAX_ITER} factors at q = {q}")
+
+
+def _reach(z) -> float:
+    """max(|z|, 1/|z|), over every element when z is an array.  A scalar
+    stays on plain floats, so the loop it sizes runs on Python numbers."""
+    r = abs(z)
+    if isinstance(r, float):
+        return max(r, 1.0 / r)
+    return float(np.max(np.maximum(r, 1.0 / r)))
 
 
 def cexpm1(z):
@@ -95,10 +107,12 @@ def theta_dd_raw(a, b, c, q):
     P [f_i]) / f_i(c), with [f_i] = -q^i for 1 - z q^i and q^i/(a b) for
     1 - q^i/z.  Nothing cancels as b -> a, T stays finite where theta(b) =
     0, and A does not cancel where theta(a) is far below theta(b).  c must
-    lie off q^Z.
+    lie off q^Z.  ``a`` and ``b`` may be NumPy arrays (c and q scalar): the
+    same loop then runs elementwise, for as many factors as the element
+    of largest |z| or 1/|z| needs, and T, P and A are arrays.
     """
     T, P, A = -1.0 / (1.0 - c), (1.0 - b) / (1.0 - c), (1.0 - a) / (1.0 - c)
-    scale = max(abs(a), abs(b), abs(c), 1.0 / abs(a), 1.0 / abs(b), 1.0 / abs(c))
+    scale = max(_reach(a), _reach(b), abs(c), 1.0 / abs(c))
     _check_iterations(scale, q)
     p = q
     while p * scale > CUT:  # as the product loops stop

@@ -48,6 +48,7 @@ __all__ = [
     "log_C_elliptic",
     "elliptic_kernel",
     "elliptic_diag_contour",
+    "ConvergenceError",
     "closed_diag",
     "truncation_order",
     "gauge_eps",
@@ -70,6 +71,11 @@ _CACHE_SIZE = 8
 
 # Node count of the last ring the contour diagonals try.
 _NODE_LIMIT = 512
+
+
+class ConvergenceError(ArithmeticError):
+    """An iterative value that did not converge within its limit, such as a
+    contour diagonal whose rings still disagree at ``_NODE_LIMIT`` nodes."""
 
 
 @dataclass(frozen=True)
@@ -488,51 +494,49 @@ def _sing_distance(x: float, params, ctx: QContext) -> float:
     return dist
 
 
-def _diag_contour(x: float, eps: float, integrand, pref: complex) -> EvalResult:
+def _ring_sum(x: float, eps: float, pref: complex, ph: np.ndarray, z: np.ndarray,
+              lr: np.ndarray, num: np.ndarray) -> complex:
+    """Trapezoid sum of pref * sqrt(w(z)/w(x)) * num / (z - x)^2 over one
+    ring, its nodes z = x + eps * ph in index order around the circle and
+    lr = log(w(z)/w(x)).  The imaginary part of lr is unwrapped node to node,
+    starting from 0 (the ratio is 1 at the real node 0), so the square root
+    never jumps branches."""
+    turns = np.cumsum(np.round(-np.diff(lr.imag, prepend=0.0) / (2.0 * math.pi)))
+    rat = np.exp(0.5 * (lr.real + 1j * (lr.imag + 2.0 * math.pi * turns)))
+    return complex(np.sum(pref * rat * num / (z - x) ** 2 * ph)) * eps / len(ph)
+
+
+def _diag_contour(x: float, eps: float, integrand, pref: complex) -> tuple[complex, bool]:
     """Trapezoid rule for a kernel diagonal on the circle |z - x| = eps.
 
-    ``integrand(z)`` returns (log(w(z)/w(x)), numerator(z)) for the
-    caller's weight w, and the integrand is pref * sqrt(w(z)/w(x)) *
-    numerator(z) / (z - x)^2.  The weight is analytic and nonzero in the
-    disk, so the ratio has zero winding and is 1 at the real starting node;
-    the imaginary part of its log is unwrapped node to node around the
-    circle so the square root never jumps branches.  The node count doubles
-    from 64 until two rings agree to 1e-10; past ``_NODE_LIMIT`` the last
-    ring is returned.  Ring 2n holds ring n's nodes at its even indices
-    (the phases are bitwise equal), so each ring evaluates ``integrand``
-    only at its new odd nodes.
+    ``integrand(z)`` takes an array of nodes and returns the arrays
+    (log(w(z)/w(x)), numerator(z)) for the caller's weight w; the integrand
+    is pref * sqrt(w(z)/w(x)) * numerator(z) / (z - x)^2 (see
+    ``_ring_sum``).  The weight is analytic and nonzero in the disk, so the
+    ratio has zero winding.  The node count doubles from 64 until two rings
+    agree to 1e-10.  Ring 2n holds ring n's nodes at its even indices (the
+    phases are bitwise equal), so each ring makes one ``integrand`` call, on
+    its new odd nodes.  Returns (value, converged); when the rings still
+    disagree at ``_NODE_LIMIT`` nodes, the value is the last ring's and the
+    caller decides what to do with it.
     """
-
-    def node(j: int, n: int) -> tuple:
-        ph = cmath.exp(2j * math.pi * j / n)
-        z = x + eps * ph
-        return ph, z, integrand(z)
-
-    def ring(nodes: list) -> complex:
-        acc = 0.0 + 0.0j
-        prev_im = 0.0
-        for ph, z, (lr, num) in nodes:
-            im = lr.imag + 2.0 * math.pi * round((prev_im - lr.imag) / (2.0 * math.pi))
-            prev_im = im
-            rat = cmath.exp(0.5 * complex(lr.real, im))
-            acc += pref * rat * num / (z - x) ** 2 * ph
-        return acc * eps / len(nodes)
-
-    nodes = []
-    prev = None
+    prev, lr, num = None, None, None
     n = 64
     while n <= _NODE_LIMIT:
-        if nodes:
-            odd = [node(j, n) for j in range(1, n, 2)]
-            nodes = [nd for both in zip(nodes, odd) for nd in both]
+        ph = np.exp(2j * math.pi * np.arange(n) / n)
+        z = x + eps * ph
+        if lr is None:
+            lr, num = integrand(z)
         else:
-            nodes = [node(j, n) for j in range(n)]
-        val = ring(nodes)
+            lr_odd, num_odd = integrand(z[1::2])
+            lr = np.column_stack((lr, lr_odd)).ravel()
+            num = np.column_stack((num, num_odd)).ravel()
+        val = _ring_sum(x, eps, pref, ph, z, lr, num)
         if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
-            return EvalResult(val, None)
+            return val, True
         prev = val
         n *= 2
-    return EvalResult(prev, None)
+    return prev, False
 
 
 def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
@@ -544,6 +548,9 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     delta)) is B (z theta(x gamma) [theta](z delta, z gamma) - x theta(z
     gamma) [theta](x delta, x gamma)), with every theta taken relative to
     theta(x gamma) by ``theta_dd_raw``, so gamma = delta takes the same path.
+    Each ring's new nodes go through one array ``theta_dd_raw`` call.
+    Raises ConvergenceError when no two rings up to ``_NODE_LIMIT`` nodes
+    agree.
     """
     xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
     sign = 1.0 if xv > 0 else -1.0
@@ -552,12 +559,16 @@ def elliptic_diag_contour(x, pair: AdmissiblePair, ctx: QContext) -> EvalResult:
     qv, c = ctx.q.q, xv * g
     tx, _, rx = theta_dd_raw(xv * d, c, c, qv)  # rx = theta(x delta) / theta(x gamma)
 
-    def integrand(z: complex) -> tuple[complex, complex]:
+    def integrand(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t, pg, pd = theta_dd_raw(z * d, z * g, c, qv)
-        return cmath.log(z * rx / (xv * pg * pd)), z * t - xv * pg * tx
+        return np.log(z * rx / (xv * pg * pd)), z * t - xv * pg * tx
 
     B = _PairPlan.build(pair, ctx).B
-    return _diag_contour(xv, eps, integrand, B * sign * xv / rx)
+    val, converged = _diag_contour(xv, eps, integrand, B * sign * xv / rx)
+    if not converged:
+        raise ConvergenceError(f"contour diagonal at x = {xv:.6g}, q = {qv}: no two rings "
+                               f"up to {_NODE_LIMIT} nodes agree to 1e-10")
+    return EvalResult(val, None)
 
 
 def _require_points(*xs) -> None:
@@ -701,7 +712,11 @@ def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext) -> EvalResul
 
     The integrand is analytic in the punctured disk around x, so the
     trapezoid rule on |z - x| = eps converges geometrically.  With w the
-    weight, sqrt(w(z)) sqrt(w(x)) = w(x) * sqrt(w(z)/w(x)).
+    weight, sqrt(w(z)) sqrt(w(x)) = w(x) * sqrt(w(z)/w(x)).  Unlike
+    ``elliptic_diag_contour`` this returns the last ring when no two rings
+    agree: at deep points (k = 30 and 40 at the test quadruple) they do
+    not, and the deep-diagonal checks read that value, until the diagonal
+    is computed as a Wronskian without a contour.
     """
     sign = 1.0 if x > 0 else -1.0
     eps = 0.5 * _sing_distance(x, quad, ctx)
@@ -712,9 +727,13 @@ def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext) -> EvalResul
     amp = math.exp(lw_x.real + 2.0 * math.log(s))
     c = frak_C(quad, ctx).value
 
-    def integrand(z: complex) -> tuple[complex, complex]:
+    def node(z: complex) -> tuple[complex, complex]:
         h1z, h0z = _h(z, 1, quad, ctx), _h(z, 0, quad, ctx)
         return (_log_weight(z, quad, ctx, sign) - lw_x,
                 (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s))
 
-    return _diag_contour(x, eps, integrand, c * amp)
+    def integrand(z: np.ndarray) -> np.ndarray:
+        # _h and phi21 are scalar: one node at a time, on Python complex
+        return np.array([node(zj) for zj in z.tolist()]).T
+
+    return EvalResult(_diag_contour(x, eps, integrand, c * amp)[0], None)

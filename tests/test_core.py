@@ -1,9 +1,11 @@
 """The raw loops of ``qtail._core``: each product loop refuses up front a
-truncation that would take more than ``_MAX_ITER`` factors, and each series
-raises once it has taken ``_MAX_TERMS`` terms without converging."""
+truncation that would take more than ``_MAX_ITER`` factors, each series
+raises once it has taken ``_MAX_TERMS`` terms without converging, and
+``theta_dd_raw`` on arrays agrees with its scalar calls."""
 
 import cmath
 
+import numpy as np
 import pytest
 
 from qtail import QContext, QParam, elliptic_diag_contour, validate_pair
@@ -26,6 +28,8 @@ PRODUCT_LOOPS = {
     "logqpoch": lambda: logqpoch_raw(0.5 + 0.1j, Q_NEAR_ONE),
     "theta_ratio_dd": lambda: theta_ratio_dd_raw(0.5 + 0.1j, 0.7, Q_NEAR_ONE),
     "theta_dd": lambda: theta_dd_raw(0.5 + 0.1j, 0.7, 0.6, Q_NEAR_ONE),
+    "theta_dd_array": lambda: theta_dd_raw(np.array([0.5 + 0.1j, 0.9]), np.array([0.7, 0.8j]),
+                                           0.6, Q_NEAR_ONE),
     "zlogderiv_dd": lambda: zlogderiv_dd_raw(0.5 + 0.1j, 0.7, Q_NEAR_ONE),
 }
 
@@ -58,3 +62,25 @@ def test_contour_diagonal_raises_beyond_iteration_cap():
     pair = validate_pair(g, g.conjugate(), ctx)
     with pytest.raises(ArithmeticError):
         elliptic_diag_contour(ctx.point(1, 2), pair, ctx)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("gamma, delta, x", [
+    (0.8 * cmath.exp(1.1j), 0.8 * cmath.exp(-1.1j), 0.5 ** 0.3),
+    (0.8 * cmath.exp(1.1j), 0.8 * cmath.exp(-1.1j), -1.7),
+    (0.6, 0.45, 0.9),
+])
+def test_theta_dd_on_a_ring_matches_scalar_calls(q, gamma, delta, x):
+    """One array call over a contour ring's new nodes, as the contour
+    diagonal makes it, gives each node's scalar values to 1e-13 relative
+    (the array loop runs as many factors as its widest node needs)."""
+    z = x + 0.2 * abs(x) * np.exp(2j * np.pi * np.arange(1, 128, 2) / 128)
+    got = theta_dd_raw(z * delta, z * gamma, x * gamma, q)
+    for j, zj in enumerate(z.tolist()):
+        want = theta_dd_raw(zj * delta, zj * gamma, x * gamma, q)
+        for g, w in zip(got, want):
+            assert abs(g[j] - w) <= 1e-13 * abs(w)
+
+
+def test_theta_dd_scalar_call_returns_python_complex():
+    assert [type(v) for v in theta_dd_raw(0.5 + 0.1j, 0.7 - 0.2j, 0.6 + 0.05j, 0.5)] == [complex] * 3

@@ -11,6 +11,7 @@ import pytest
 from qtail import (
     AdmissiblePair,
     AdmissibleQuadruple,
+    ConvergenceError,
     DomainError,
     LatticePoint,
     PoleError,
@@ -30,7 +31,7 @@ from qtail import (
 )
 from qtail import kernels
 from qtail.kernels import (_NODE_LIMIT, C_elliptic, _PairPlan, _diag_contour, _elliptic_direct,
-                           truncation_order)
+                           _ring_sum, truncation_order)
 
 import theta_reference
 from conftest import DELTA_REF, GAMMA_REF
@@ -234,6 +235,19 @@ class TestEllipticClosedForms:
         closed = closed_diag(1, pair, ctx).value
         assert abs(cont - closed) <= 1e-10 * max(1.0, abs(closed))
 
+    @pytest.mark.parametrize("q", [0.95, 0.97, 0.98])
+    def test_contour_diag_raises_when_rings_disagree(self, q):
+        """The contour radius is fixed at half the distance to the nearest
+        singularity, where the weight ratio varies by exp(O(1/-ln q)); from
+        q = 0.95 no two rings up to _NODE_LIMIT nodes agree for this pair,
+        and the last ring was 4.3e-10, 2.1e-4 and 1.1e5 off closed_diag."""
+        ctx = QContext(QParam(q), 1.0, -1.0)
+        g = 0.8 * cmath.exp(1.1j)
+        pair = validate_pair(g, g.conjugate(), ctx)
+        with pytest.raises(ConvergenceError, match="no two rings"):
+            elliptic_diag_contour(ctx.point(1, 2), pair, ctx)
+        assert issubclass(ConvergenceError, ArithmeticError)  # the CLI's exit 3
+
     def test_principal_pair_values_real_on_lattice(self, ctx, principal_pair):
         for (sx, kx), (sy, ky) in [((1, 0), (1, 1)), ((1, 0), (-1, 0)), ((-1, 1), (-1, -1))]:
             v = elliptic_kernel(ctx.point(sx, kx), ctx.point(sy, ky),
@@ -387,57 +401,56 @@ def test_kernel_results_carry_no_bound(ctx, pair, quad):
 
 
 def _ring_by_ring(x, eps, integrand, pref):
-    """The contour diagonal with every ring evaluated at all of its nodes."""
+    """The contour diagonal with every ring evaluated at all of its nodes,
+    each ring summed by the same ``_ring_sum``."""
     prev = None
     n = 64
     while n <= _NODE_LIMIT:
-        acc = 0.0 + 0.0j
-        prev_im = 0.0
-        for j in range(n):
-            ph = cmath.exp(2j * math.pi * j / n)
-            z = x + eps * ph
-            lr, num = integrand(z)
-            im = lr.imag + 2.0 * math.pi * round((prev_im - lr.imag) / (2.0 * math.pi))
-            prev_im = im
-            acc += pref * cmath.exp(0.5 * complex(lr.real, im)) * num / (z - x) ** 2 * ph
-        val = acc * eps / n
+        ph = np.exp(2j * math.pi * np.arange(n) / n)
+        z = x + eps * ph
+        val = _ring_sum(x, eps, pref, ph, z, *integrand(z))
         if prev is not None and abs(val - prev) <= 1e-10 * max(1.0, abs(val)):
-            return val
+            return val, True
         prev = val
         n *= 2
-    return prev
+    return prev, False
 
 
 class TestDiagContour:
     X, EPS, PREF = -0.3, 0.1, 0.7 - 0.2j
 
     def _integrand(self, num):
-        """Weight z^2 and numerator ``num``; records every node it is called at.
-        The circle crosses the negative axis, where the log ratio's
-        imaginary part jumps by 4 pi, so the unwrap is exercised."""
+        """Weight z^2 and numerator ``num`` on an array of nodes; records the
+        nodes of every call.  The circle crosses the negative axis, where the
+        log ratio's imaginary part jumps by 4 pi, so the unwrap is exercised."""
         calls = []
 
         def integrand(z):
-            calls.append(z)
-            return 2.0 * cmath.log(z) - 2.0 * cmath.log(self.X), num(z)
+            calls.append(z.copy())
+            return 2.0 * np.log(z) - 2.0 * cmath.log(self.X), num(z)
 
         return integrand, calls
 
     def test_each_node_is_evaluated_once(self):
         # sqrt(w(z)/w(x)) = z/x, so the integral is pref d/dz (z/x) = pref/x
-        integrand, calls = self._integrand(lambda z: 1.0)
-        got = _diag_contour(self.X, self.EPS, integrand, self.PREF).value
-        assert len(calls) == 128
-        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
+        integrand, calls = self._integrand(np.ones_like)
+        got, converged = _diag_contour(self.X, self.EPS, integrand, self.PREF)
+        nodes = np.concatenate(calls).tolist()
+        assert converged
+        assert [len(c) for c in calls] == [64, 64]  # one call per ring
+        assert len(nodes) == len(set(nodes)) == 128
+        assert (got, converged) == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
         assert abs(got - self.PREF / self.X) < 1e-14
 
     def test_unconverged_rings_reuse_nodes(self):
         # |z - x - eps| is not analytic, so no two rings agree to 1e-10
-        integrand, calls = self._integrand(lambda z: abs(z - self.X - self.EPS))
-        got = _diag_contour(self.X, self.EPS, integrand, self.PREF).value
-        assert len(calls) == _NODE_LIMIT
-        assert len(set(calls)) == _NODE_LIMIT
-        assert got == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
+        integrand, calls = self._integrand(lambda z: np.abs(z - self.X - self.EPS))
+        got, converged = _diag_contour(self.X, self.EPS, integrand, self.PREF)
+        nodes = np.concatenate(calls).tolist()
+        assert not converged
+        assert [len(c) for c in calls] == [64, 64, 128, 256]
+        assert len(nodes) == len(set(nodes)) == _NODE_LIMIT
+        assert (got, converged) == _ring_by_ring(self.X, self.EPS, integrand, self.PREF)
 
 
 class TestPairPlanCache:
