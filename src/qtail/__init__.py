@@ -45,7 +45,6 @@ from .kernels import (
     elliptic_kernel,
     frak_C,
     gauge_eps,
-    gauge_nu,
     hat_kernel,
     tilde_kernel,
     validate_pair,

@@ -14,8 +14,8 @@ and the exponent difference alone (theta-power ratios off the diagonal,
 log-derivative forms on it), written with B = C (delta - gamma) so that
 gamma = delta takes the same path; large-magnitude combinations are
 assembled in log space so nothing overflows on the way to an O(1) kernel
-value.  Diagonal values of the four-parameter kernel use the
-contour-integral representation.
+value.  Four-parameter kernel values are read from one quadruple plan,
+``_QuadPlan``, and its diagonals use the contour-integral representation.
 
 No error bound has been derived for any value here, so every EvalResult
 this module returns has abs_error_bound None.
@@ -52,7 +52,6 @@ __all__ = [
     "closed_diag",
     "truncation_order",
     "gauge_eps",
-    "gauge_nu",
     "tilde_kernel",
     "hat_kernel",
     "frak_C",
@@ -65,8 +64,8 @@ __all__ = [
 # DomainError there.
 MAX_EXPONENT = 400
 
-# Pairs whose plan (with every constant derived from it) is kept.  Every
-# caller works through one pair at a time, so a few entries suffice.
+# Pairs (and quadruples) whose plan, with everything derived from it, is
+# kept.  Every caller works through one at a time, so a few entries suffice.
 _CACHE_SIZE = 8
 
 # Node count of the last ring the contour diagonals try.
@@ -90,9 +89,6 @@ class QContext:
         if not (math.isfinite(self.zeta_plus) and math.isfinite(self.zeta_minus)
                 and self.zeta_plus > 0.0 > self.zeta_minus):
             raise DomainError("need finite zeta_plus > 0 > zeta_minus")
-
-    def point(self, sign: int, k: int) -> "LatticePoint":
-        return LatticePoint(sign, k)
 
 
 @dataclass(frozen=True)
@@ -584,13 +580,6 @@ def gauge_eps(x: LatticePoint) -> int:
     return 1 if x.sign > 0 else (-1) ** x.k
 
 
-def gauge_nu(x: LatticePoint) -> int:
-    """(-1)^k on the positive branch, trivial on the negative one (the
-    combination of the alternating gauge with gauge_eps)."""
-    _require_points(x)
-    return (-1) ** x.k if x.sign > 0 else 1
-
-
 def tilde_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair,
                  ctx: QContext) -> EvalResult:
     """eps-gauged theta kernel; q-translation-invariant."""
@@ -602,9 +591,10 @@ def hat_kernel(x: LatticePoint, y: LatticePoint, pair: AdmissiblePair, ctx: QCon
     """Particle-hole involution of the gauged theta kernel on the positive
     branch.
 
-    With bK = nu(x) nu(y) K = (-1)^d tilde, d = k_x - k_y (nu eps is (-1)^k
-    on both branches): delta_{xy} - bK when y lies on the positive branch
-    and +bK when it lies on the negative one.
+    With nu = (-1)^k on the positive branch and 1 on the negative one, bK =
+    nu(x) nu(y) K = (-1)^d tilde, d = k_x - k_y (nu eps is (-1)^k on both
+    branches): delta_{xy} - bK when y lies on the positive branch and +bK
+    when it lies on the negative one.
     """
     _require_points(x, y)
     d = x.k - y.k
@@ -623,24 +613,19 @@ def frak_C(quad: AdmissibleQuadruple, ctx: QContext) -> EvalResult:
     """Normalizing constant of the four-parameter kernel, -B (q gamma/delta,
     q delta/gamma, alpha beta/(gamma delta), alpha beta/(q gamma delta);
     q)_inf / (alpha/gamma, alpha/delta, beta/gamma, beta/delta; q)_inf with
-    B = C (delta - gamma) of the theta kernel's pair (gamma, delta), whose
-    theta part the pair plan keeps in log space."""
-    a, b, g, d = quad.alpha, quad.beta, quad.gamma, quad.delta
-    q = ctx.q
-    B = _PairPlan.build(quad.pair, ctx).B
-    num = qpoch_multi([q.q * g / d, q.q * d / g, a * b / (g * d), a * b / (q.q * g * d)], q)
-    den = qpoch_multi([a / g, a / d, b / g, b / d], q)
-    return EvalResult(-B * num.value / den.value, None)
+    B = C (delta - gamma) of the theta kernel's pair (gamma, delta), as the
+    quadruple plan computes it once."""
+    return EvalResult(_QuadPlan.build(quad, ctx).c, None)
 
 
-def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext, sign: float) -> complex:
-    """log of (sign*z)(z alpha, z beta; q)_inf / theta(z gamma, z delta).
+def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext) -> complex:
+    """log of (sz)(z alpha, z beta; q)_inf / theta(z gamma, z delta), s = sgn Re z.
 
     Meaningful modulo 2 pi i; the weight itself is positive on the lattice,
     so Re of this log determines its positive square root.
     """
     q = ctx.q
-    out = cmath.log(sign * z)
+    out = cmath.log(z if z.real > 0 else -z)
     out += logqpoch_raw(z * quad.alpha, q.q)[0] + logqpoch_raw(z * quad.beta, q.q)[0]
     out -= log_theta(z * quad.gamma, q) + log_theta(z * quad.delta, q)
     return out
@@ -683,57 +668,77 @@ def _h(z: complex, r: int, quad: AdmissibleQuadruple, ctx: QContext) -> complex:
     return (_h_transformed if small else _h_direct)(z, r, quad, ctx)
 
 
+@dataclass(frozen=True, eq=False)
+class _QuadPlan:
+    """The four-parameter kernel's work for one (quad, ctx), cached like the
+    pair plans: frak_C, and each lattice value's ``point``, kept on the plan."""
+
+    quad: AdmissibleQuadruple
+    ctx: QContext
+    c: complex  # frak_C
+    _points: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    @functools.lru_cache(maxsize=_CACHE_SIZE)
+    def build(cls, quad: AdmissibleQuadruple, ctx: QContext) -> "_QuadPlan":
+        a, b, g, d = quad.alpha, quad.beta, quad.gamma, quad.delta
+        q = ctx.q
+        B = _PairPlan.build(quad.pair, ctx).B
+        num = qpoch_multi([q.q * g / d, q.q * d / g, a * b / (g * d), a * b / (q.q * g * d)], q)
+        den = qpoch_multi([a / g, a / d, b / g, b / d], q)
+        return cls(quad, ctx, -B * num.value / den.value)
+
+    def point(self, x: float) -> tuple[complex, float, complex, complex]:
+        """(lw, s, h1/s, h0/s) at x, lw = log w(x), s = max(|h1|, |h0|) (h1, h0
+        unscaled where s = 0).  The h reach ~1e250 at deep exponents while w
+        h^2 is O(1), so callers recombine s with the weight in log space."""
+        if x not in self._points:
+            quad, ctx = self.quad, self.ctx
+            lw = _log_weight(x, quad, ctx)
+            h1, h0 = _h(x, 1, quad, ctx), _h(x, 0, quad, ctx)
+            s = max(abs(h1), abs(h0))
+            self._points[x] = (lw, s, h1 / s, h0 / s) if s != 0.0 else (lw, s, h1, h0)
+        return self._points[x]
+
+
 def basic_kernel(x, y, quad: AdmissibleQuadruple, ctx: QContext) -> EvalResult:
     """The four-parameter kernel at real points of the lattice."""
     xv = x.value(ctx) if isinstance(x, LatticePoint) else float(x)
     yv = y.value(ctx) if isinstance(y, LatticePoint) else float(y)
+    plan = _QuadPlan.build(quad, ctx)
     if xv == yv:
-        return _basic_diag(xv, quad, ctx)
-    # rescale the meromorphic parts before forming cross products: the
-    # individual h values reach ~1e250 at deep lattice exponents while the
-    # kernel itself is O(1), so the sqrt-weight logs and the h magnitudes
-    # are recombined in log space.
-    lwx = 0.5 * _log_weight(xv, quad, ctx, math.copysign(1.0, xv)).real
-    lwy = 0.5 * _log_weight(yv, quad, ctx, math.copysign(1.0, yv)).real
-    h1x, h0x = _h(xv, 1, quad, ctx), _h(xv, 0, quad, ctx)
-    h1y, h0y = _h(yv, 1, quad, ctx), _h(yv, 0, quad, ctx)
-    sx = max(abs(h1x), abs(h0x))
-    sy = max(abs(h1y), abs(h0y))
+        return _basic_diag(xv, plan)
+    lwx, sx, h1x, h0x = plan.point(xv)
+    lwy, sy, h1y, h0y = plan.point(yv)
     if sx == 0.0 or sy == 0.0:
         return EvalResult(0.0 + 0.0j, None)
-    num = (h1x / sx) * (h0y / sy) - (h1y / sy) * (h0x / sx)
-    c = frak_C(quad, ctx).value
-    val = c * math.exp(lwx + lwy + math.log(sx) + math.log(sy)) * num / (xv - yv)
-    return EvalResult(val, None)
+    num = h1x * h0y - h1y * h0x
+    amp = math.exp(0.5 * lwx.real + 0.5 * lwy.real + math.log(sx) + math.log(sy))
+    return EvalResult(plan.c * amp * num / (xv - yv), None)
 
 
-def _basic_diag(x: float, quad: AdmissibleQuadruple, ctx: QContext) -> EvalResult:
+def _basic_diag(x: float, plan: _QuadPlan) -> EvalResult:
     """Diagonal value by the contour integral around x.
 
     The integrand is analytic in the punctured disk around x, so the
     trapezoid rule on |z - x| = eps converges geometrically.  With w the
     weight, sqrt(w(z)) sqrt(w(x)) = w(x) * sqrt(w(z)/w(x)).  Unlike
     ``elliptic_diag_contour`` this returns the last ring when no two rings
-    agree: at deep points (k = 30 and 40 at the test quadruple) they do
-    not, and the deep-diagonal checks read that value, until the diagonal
-    is computed as a Wronskian without a contour.
+    agree to 1e-10: at the test quadruple with k = 30 to 40 they differ by
+    up to 2.4e-9, against a tail gap to ``closed_diag`` of 1.9e-7 at k = 40
+    that the deep-diagonal checks read.
     """
-    sign = 1.0 if x > 0 else -1.0
+    quad, ctx = plan.quad, plan.ctx
     eps = 0.5 * _sing_distance(x, quad, ctx)
-    lw_x = _log_weight(x, quad, ctx, sign)
-    h1x, h0x = _h(x, 1, quad, ctx), _h(x, 0, quad, ctx)
-    s = max(abs(h1x), abs(h0x))
-    # weight * h^2 is O(1); recombine the huge magnitudes in log space
+    lw_x, s, h1x, h0x = plan.point(x)
     amp = math.exp(lw_x.real + 2.0 * math.log(s))
-    c = frak_C(quad, ctx).value
 
     def node(z: complex) -> tuple[complex, complex]:
         h1z, h0z = _h(z, 1, quad, ctx), _h(z, 0, quad, ctx)
-        return (_log_weight(z, quad, ctx, sign) - lw_x,
-                (h1z / s) * (h0x / s) - (h1x / s) * (h0z / s))
+        return _log_weight(z, quad, ctx) - lw_x, (h1z / s) * h0x - h1x * (h0z / s)
 
     def integrand(z: np.ndarray) -> np.ndarray:
         # _h and phi21 are scalar: one node at a time, on Python complex
         return np.array([node(zj) for zj in z.tolist()]).T
 
-    return EvalResult(_diag_contour(x, eps, integrand, c * amp)[0], None)
+    return EvalResult(_diag_contour(x, eps, integrand, plan.c * amp)[0], None)

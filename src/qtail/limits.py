@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .kernels import (
     AdmissiblePair,
     AdmissibleQuadruple,
+    LatticePoint,
     QContext,
     basic_kernel,
     elliptic_kernel,
@@ -163,8 +164,8 @@ def trig_limit_scan(u: float, v: float, i: int, j: int, regime: RegimeII, *,
         r = -math.log(q)
         m = math.floor(u / r)
         n = math.floor(v / r)
-        x = ctx.point(_LINE_TO_SIGN[i], m)
-        y = ctx.point(_LINE_TO_SIGN[j], n)
+        x = LatticePoint(_LINE_TO_SIGN[i], m)
+        y = LatticePoint(_LINE_TO_SIGN[j], n)
         val = hat_kernel(x, y, pair, ctx).value / r
         if snap_target:
             target = trig_kernel((i, m * r), (j, n * r), tp)
@@ -204,6 +205,6 @@ def sine_limit_scan(m: int, n: int, sign: int, regime: RegimeI) -> list[tuple[fl
         ctx = QContext(QParam(q), 1.0, -1.0)
         g = cmath.exp(1j * regime.phi)
         pair = validate_pair(g, g.conjugate(), ctx)
-        val = elliptic_kernel(ctx.point(sign, m), ctx.point(sign, n), pair, ctx).value
+        val = elliptic_kernel(LatticePoint(sign, m), LatticePoint(sign, n), pair, ctx).value
         out.append((q, abs(val - target)))
     return out

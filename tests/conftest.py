@@ -1,11 +1,11 @@
 """Shared fixtures: a reference lattice, pair and quadruple used across
-the test modules, a seeded random generator, and cold per-pair caches."""
+the test modules, a seeded random generator, and cold plan caches."""
 
 import numpy as np
 import pytest
 
 from qtail import QContext, QParam, validate_pair, validate_quadruple
-from qtail.kernels import _PairPlan
+from qtail.kernels import _PairPlan, _QuadPlan
 
 Q_REF = 0.5
 ZP_REF = 1.3
@@ -44,7 +44,12 @@ def rng():
 
 @pytest.fixture
 def cold_caches():
-    """Empty the cache of pair plans, which holds all per-pair work; returns
-    a function that empties it again."""
-    _PairPlan.build.cache_clear()
-    return _PairPlan.build.cache_clear
+    """Empty the caches of pair plans and of quadruple plans, which hold
+    all per-pair and per-quadruple work (the quadruple plans' lattice
+    points included); returns a function that empties them again."""
+    def clear():
+        _PairPlan.build.cache_clear()
+        _QuadPlan.build.cache_clear()
+
+    clear()
+    return clear

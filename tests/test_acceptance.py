@@ -10,6 +10,7 @@ import numpy as np
 from scipy import stats
 
 from qtail import (
+    LatticePoint,
     QContext,
     QParam,
     RegimeI,
@@ -148,7 +149,7 @@ def test_criterion_07_tail_limit():
         ky = int(rng.integers(0, 3))
         if (sx, kx) == (sy, ky):
             ky += 1
-        scan = dict(tail_limit_scan(ctx.point(sx, kx), ctx.point(sy, ky),
+        scan = dict(tail_limit_scan(LatticePoint(sx, kx), LatticePoint(sy, ky),
                                     quad, ctx, 40))
         worst_err = max(worst_err, scan[40])
         g, d = abs(quad.gamma), abs(quad.delta)
@@ -235,7 +236,7 @@ def test_criterion_09_diffuseness():
                               GAMMA_REF, DELTA_REF, ctx)
     basic_ok = True
     for k in (20, 30, 40):
-        v = basic_kernel(ctx.point(1, k), ctx.point(1, k), quad, ctx).value.real
+        v = basic_kernel(LatticePoint(1, k), LatticePoint(1, k), quad, ctx).value.real
         basic_ok = basic_ok and 0.01 < v < 0.99
     ok = diag_ok and min_period_sum > 0.01 and basic_ok
     elapsed_ok = time.time() - t0 < 60.0
@@ -252,7 +253,7 @@ def test_criterion_10_sampler_statistics():
     def kern(x, y):
         return elliptic_kernel(x, y, pair, ctx).value
 
-    pts = (ctx.point(1, 0), ctx.point(1, 1), ctx.point(-1, 0), ctx.point(-1, 1))
+    pts = (LatticePoint(1, 0), LatticePoint(1, 1), LatticePoint(-1, 0), LatticePoint(-1, 1))
     window = Window(pts)
     n = 100_000
     samples = sample_window(window, kern, SampleConfig(n, seed=2026))
@@ -306,7 +307,7 @@ def test_criterion_11_closed_forms():
         ky = int(rng.integers(-3, 4))
         if (sx, kx) == (sy, ky):
             ky += 1
-        x, y = ctx.point(sx, kx), ctx.point(sy, ky)
+        x, y = LatticePoint(sx, kx), LatticePoint(sy, ky)
         closed = elliptic_kernel(x, y, pair, ctx).value
         direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx)
         worst_cd = max(worst_cd, abs(closed - direct) / max(1.0, abs(closed)))
@@ -315,18 +316,18 @@ def test_criterion_11_closed_forms():
         ctx = draw_context(rng, q_range=(0.35, 0.8))
         pair = draw_pair(rng, ctx, "complementary")
         for sign in (1, -1):
-            cont = elliptic_diag_contour(ctx.point(sign, 0), pair, ctx).value
+            cont = elliptic_diag_contour(LatticePoint(sign, 0), pair, ctx).value
             cd = closed_diag(sign, pair, ctx).value
             worst_diag = max(worst_diag, abs(cont - cd) / max(1.0, abs(cd)))
     worst_eq = 0.0
     ctx = QContext(QParam(Q_REF), ZP_REF, ZM_REF)
     eps = 1e-6
     pts = [(1, 0), (1, 2), (-1, 0), (-1, 1)]
-    xs = [ctx.point(*a).value(ctx) for a in pts]
+    xs = [LatticePoint(*a).value(ctx) for a in pts]
     equal = theta_reference.kernel_matrix(xs, GAMMA_REF, GAMMA_REF, Q_REF, ZP_REF, ZM_REF)
     for i, a in enumerate(pts):
         for j in range(i, len(pts)):
-            x, y = ctx.point(*a), ctx.point(*pts[j])
+            x, y = LatticePoint(*a), LatticePoint(*pts[j])
             pert = elliptic_kernel(
                 x, y, validate_pair(GAMMA_REF, GAMMA_REF * (1 + eps), ctx), ctx).value
             worst_eq = max(worst_eq, abs(equal[i][j] - pert) / max(1.0, abs(equal[i][j])))

@@ -8,7 +8,7 @@ import cmath
 import numpy as np
 import pytest
 
-from qtail import QContext, QParam, elliptic_diag_contour, validate_pair
+from qtail import LatticePoint, QContext, QParam, elliptic_diag_contour, validate_pair
 from qtail._core import (
     logqpoch_raw,
     phi21_b_zero_raw,
@@ -61,7 +61,7 @@ def test_contour_diagonal_raises_beyond_iteration_cap():
     g = 0.8 * cmath.exp(1.1j)
     pair = validate_pair(g, g.conjugate(), ctx)
     with pytest.raises(ArithmeticError):
-        elliptic_diag_contour(ctx.point(1, 2), pair, ctx)
+        elliptic_diag_contour(LatticePoint(1, 2), pair, ctx)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.9])

@@ -11,6 +11,7 @@ from scipy import stats
 
 from qtail import (
     DomainError,
+    LatticePoint,
     QContext,
     QParam,
     SampleConfig,
@@ -34,7 +35,7 @@ def kern(ctx, pair):
 
 @pytest.fixture
 def window4(ctx):
-    return Window((ctx.point(1, 0), ctx.point(1, 1), ctx.point(-1, 0), ctx.point(-1, 1)))
+    return Window(tuple(LatticePoint(s, k) for s in (1, -1) for k in (0, 1)))
 
 
 class TestWindow:
@@ -44,10 +45,10 @@ class TestWindow:
 
     def test_rejects_duplicates(self, ctx):
         with pytest.raises(DomainError):
-            Window((ctx.point(1, 0), ctx.point(1, 0)))
+            Window((LatticePoint(1, 0), LatticePoint(1, 0)))
 
     def test_rejects_oversize(self, ctx):
-        pts = tuple(ctx.point(1, k) for k in range(65))
+        pts = tuple(LatticePoint(1, k) for k in range(65))
         with pytest.raises(DomainError):
             Window(pts)
 
@@ -61,7 +62,7 @@ class TestSampleConfig:
 class TestCorrelations:
     def test_single_point_in_unit_interval(self, ctx, kern):
         for sign in (1, -1):
-            r = correlation([ctx.point(sign, 0)], kern)
+            r = correlation([LatticePoint(sign, 0)], kern)
             assert 0.0 < r < 1.0
 
     def test_matrix_hermitian_with_eigs_in_unit_interval(self, window4, kern):
@@ -73,7 +74,7 @@ class TestCorrelations:
     def test_two_point_negative_association(self, ctx, kern):
         # determinantal processes are negatively associated:
         # rho_2(x, y) <= rho_1(x) rho_1(y)
-        x, y = ctx.point(1, 0), ctx.point(1, 1)
+        x, y = LatticePoint(1, 0), LatticePoint(1, 1)
         r2 = correlation([x, y], kern)
         assert r2 <= correlation([x], kern) * correlation([y], kern) + 1e-12
 
@@ -100,7 +101,7 @@ class TestExactOracle:
 
     def test_two_point_outcomes_from_correlations(self, ctx, kern):
         # inclusion-exclusion written out by hand for n = 2
-        pts = [ctx.point(1, 0), ctx.point(-1, 1)]
+        pts = [LatticePoint(1, 0), LatticePoint(-1, 1)]
         K = kernel_matrix(pts, kern)
         k00, k11 = K[0, 0].real, K[1, 1].real
         det = correlation(pts, kern)
@@ -113,11 +114,11 @@ class TestExactOracle:
 
     def test_kernel_above_identity_gives_negative_probability(self, ctx):
         # K = 1.5 on one point: P(empty) = 1 - 1.5, kept signed
-        probs = exact_outcome_probabilities([ctx.point(1, 0)], lambda x, y: 1.5)
+        probs = exact_outcome_probabilities([LatticePoint(1, 0)], lambda x, y: 1.5)
         assert probs == pytest.approx({(): -0.5, (0,): 1.5}, abs=1e-15)
 
     def test_rejects_large_window(self, ctx, kern):
-        pts = [ctx.point(1, k) for k in range(13)]
+        pts = [LatticePoint(1, k) for k in range(13)]
         with pytest.raises(DomainError):
             exact_outcome_probabilities(pts, kern)
 
@@ -191,7 +192,7 @@ class TestNonFiniteKernel:
     ], ids=["sample_window", "correlation", "exact_outcome_probabilities"])
     def test_raises(self, ctx, call, kernel):
         with pytest.raises(ArithmeticError, match="non-finite"):
-            call((ctx.point(1, 0), ctx.point(1, 1)), kernel)
+            call((LatticePoint(1, 0), LatticePoint(1, 1)), kernel)
 
 
 def _basis_reference(window, kernel, cfg):
@@ -242,13 +243,13 @@ class TestSamplerMatchesBasisReference:
 
     def test_principal_window(self):
         ctx, kern = _principal_kernel(0.85)
-        window = Window(tuple(ctx.point(s, k) for s in (1, -1) for k in range(6)))
+        window = Window(tuple(LatticePoint(s, k) for s in (1, -1) for k in range(6)))
         self._assert_same(window, kern, SampleConfig(300, seed=85))
 
     def test_full_window(self):
         ctx, kern = _principal_kernel(0.9)
         ks = range(-MAX_WINDOW // 4, MAX_WINDOW // 4)
-        window = Window(tuple(ctx.point(s, k) for s in (1, -1) for k in ks))
+        window = Window(tuple(LatticePoint(s, k) for s in (1, -1) for k in ks))
         got = self._assert_same(window, kern, SampleConfig(40, seed=90))
         assert np.mean([len(s) for s in got]) > 16
 

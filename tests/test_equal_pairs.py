@@ -10,6 +10,7 @@ import pytest
 
 from qtail import (
     DomainError,
+    LatticePoint,
     QContext,
     QParam,
     SampleConfig,
@@ -49,7 +50,7 @@ ETAS = np.linspace(-math.pi, math.pi, 9)
 
 
 def _window_reference(pair, ctx):
-    xs = [ctx.point(*p).value(ctx) for p in WINDOW]
+    xs = [LatticePoint(*p).value(ctx) for p in WINDOW]
     return theta_reference.kernel_matrix(xs, pair.gamma, pair.delta, ctx.q.q,
                                          ctx.zeta_plus, ctx.zeta_minus)
 
@@ -62,7 +63,7 @@ def test_window_matches_reference_through_gamma_equals_delta(name):
         want = _window_reference(pair, ctx)
         for i, a in enumerate(WINDOW):
             for j, b in enumerate(WINDOW):
-                got = elliptic_kernel(ctx.point(*a), ctx.point(*b), pair, ctx).value
+                got = elliptic_kernel(LatticePoint(*a), LatticePoint(*b), pair, ctx).value
                 assert abs(got - want[i][j]) <= 1e-13, (name, eps, a, b)
 
 
@@ -77,7 +78,7 @@ def test_window_for_a_pair_far_from_the_anchors(t):
     want = _window_reference(pair, ctx)
     for i, a in enumerate(WINDOW):
         for j, b in enumerate(WINDOW):
-            got = elliptic_kernel(ctx.point(*a), ctx.point(*b), pair, ctx).value
+            got = elliptic_kernel(LatticePoint(*a), LatticePoint(*b), pair, ctx).value
             assert abs(got - want[i][j]) <= 1e-12, (t, a, b)
 
 
@@ -106,7 +107,7 @@ def test_off_lattice_quotient_form_at_gamma_equals_delta():
     for eps in (1e-8, 0.0):
         pair = validate_pair(*make(eps), ctx)
         for a, b in ((1, 0), (1, 1)), ((1, 1), (-1, 0)), ((-1, 0), (-1, 1)):
-            x, y = ctx.point(*a), ctx.point(*b)
+            x, y = LatticePoint(*a), LatticePoint(*b)
             closed = elliptic_kernel(x, y, pair, ctx).value
             direct = _elliptic_direct(x.value(ctx), y.value(ctx), pair, ctx)
             assert abs(closed - direct) <= 1e-13
@@ -115,7 +116,7 @@ def test_off_lattice_quotient_form_at_gamma_equals_delta():
 def test_sampler_at_gamma_equals_delta():
     ctx, make = SERIES["plus"]
     pair = validate_pair(*make(0.0), ctx)
-    pts = tuple(ctx.point(*p) for p in WINDOW)
+    pts = tuple(LatticePoint(*p) for p in WINDOW)
 
     def kern(x, y):
         return elliptic_kernel(x, y, pair, ctx).value
@@ -135,7 +136,7 @@ def test_constant_raises_at_its_pole():
         with pytest.raises(DomainError):
             call()
     # the contour cross-check carries B, not C, so it holds at the pole too
-    x = ctx.point(1, 0)
+    x = LatticePoint(1, 0)
     assert abs(elliptic_diag_contour(x, pair, ctx).value - closed_diag(1, pair, ctx).value) <= 1e-10
     near = validate_pair(*make(1e-12), ctx)
     assert math.isfinite(abs(C_elliptic(near, ctx).value))
@@ -147,7 +148,7 @@ def test_contour_diagonal_through_gamma_equals_delta(name):
     for eps in (1e-6, 1e-10, 1e-12, 1e-14, 0.0):
         pair = validate_pair(*make(eps), ctx)
         for sign in (1, -1):
-            cont = elliptic_diag_contour(ctx.point(sign, 0), pair, ctx).value
+            cont = elliptic_diag_contour(LatticePoint(sign, 0), pair, ctx).value
             assert abs(cont - closed_diag(sign, pair, ctx).value) <= 1e-10, (name, eps, sign)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qtail import (
+    LatticePoint,
     QContext,
     QParam,
     closed_diag,
@@ -81,9 +82,9 @@ class TestLatticeSum:
         expect = np.zeros((2, 2), dtype=complex)
         for i, e1 in enumerate((1, -1)):
             for j, e2 in enumerate((1, -1)):
-                y = ctx.point(e2, 0)
+                y = LatticePoint(e2, 0)
                 expect[i, j] = sum(
-                    cmath.exp(1j * eta * m) * tilde_kernel(ctx.point(e1, m), y, pair, ctx).value
+                    cmath.exp(1j * eta * m) * tilde_kernel(LatticePoint(e1, m), y, pair, ctx).value
                     for m in range(-M, M + 1)
                 )
         got = fourier_series(eta, pair, ctx)
@@ -296,11 +297,11 @@ class TestPlanLaziness:
         monkeypatch.setattr(kernels, "theta_ratio_dd_raw", counting)
         for sign in (1, -1):
             closed_diag(sign, pair, ctx)
-        elliptic_kernel(ctx.point(1, 2), ctx.point(1, -1), pair, ctx)
-        elliptic_kernel(ctx.point(-1, 0), ctx.point(-1, 3), pair, ctx)
+        elliptic_kernel(LatticePoint(1, 2), LatticePoint(1, -1), pair, ctx)
+        elliptic_kernel(LatticePoint(-1, 0), LatticePoint(-1, 3), pair, ctx)
         assert calls == []
-        elliptic_kernel(ctx.point(1, 1), ctx.point(-1, 0), pair, ctx)
-        elliptic_kernel(ctx.point(-1, 4), ctx.point(1, -2), pair, ctx)
+        elliptic_kernel(LatticePoint(1, 1), LatticePoint(-1, 0), pair, ctx)
+        elliptic_kernel(LatticePoint(-1, 4), LatticePoint(1, -2), pair, ctx)
         assert len(calls) == 2
 
     def test_diagonal_runs_one_loop_per_sign(self, monkeypatch, ctx, pair, cold_caches):
@@ -316,7 +317,7 @@ class TestPlanLaziness:
         first = [closed_diag(sign, pair, ctx).value for sign in (1, -1)]
         for k in (0, 3, -2):
             for sign in (1, -1):
-                elliptic_kernel(ctx.point(sign, k), ctx.point(sign, k), pair, ctx)
+                elliptic_kernel(LatticePoint(sign, k), LatticePoint(sign, k), pair, ctx)
         fourier_lemma_form(0.7, pair, ctx)
         assert len(calls) == 2
         assert [closed_diag(sign, pair, ctx).value for sign in (1, -1)] == first

@@ -7,6 +7,7 @@ import pytest
 
 from qtail import (
     DomainError,
+    LatticePoint,
     RegimeI,
     RegimeII,
     TrigParams,
@@ -61,21 +62,21 @@ class TestSineKernel:
 
 class TestTailLimit:
     def test_converges_geometrically(self, ctx, quad):
-        x, y = ctx.point(1, 0), ctx.point(1, 1)
+        x, y = LatticePoint(1, 0), LatticePoint(1, 1)
         scan = tail_limit_scan(x, y, quad, ctx, 30)
         errs = dict(scan)
         assert errs[30] < 1e-5
         assert errs[30] < errs[10] < errs[0]
 
     def test_cross_branch_converges(self, ctx, quad):
-        x, y = ctx.point(1, 0), ctx.point(-1, 0)
+        x, y = LatticePoint(1, 0), LatticePoint(-1, 0)
         scan = tail_limit_scan(x, y, quad, ctx, 25)
         assert scan[-1][1] < 1e-4
         assert scan[-1][1] < scan[0][1]
 
     def test_rejects_negative_depth(self, ctx, quad):
         with pytest.raises(DomainError):
-            tail_limit_scan(ctx.point(1, 0), ctx.point(1, 1), quad, ctx, -1)
+            tail_limit_scan(LatticePoint(1, 0), LatticePoint(1, 1), quad, ctx, -1)
 
 
 class TestRegimeII:
