@@ -1,18 +1,19 @@
 """The raw product and series loops under the special functions.
 
-Five product loops: q-Pochhammer, its log, and the divided differences
-rho of theta(a)/theta(b), [theta] and [z theta'/theta]; the theta
-log-derivative is rho at a = b.  Beside them the 2phi1 partial sums,
-their a2 -> 0 limit, theta3 and the complex expm1 that the dual theta sum
-and the kernels' sinh quotients share.  The functions take scalars and
-return plain tuples, except that ``theta_dd_raw`` also takes arrays of
-``a`` and ``b`` and then returns arrays.  Argument reduction lives in the
-callers (``qspecial``, ``qhyper``, ``kernels``, ``fourier``).  The truncation
-rule lives here: each loop drops the terms below ``CUT`` and raises
-``ArithmeticError`` rather than exceed its cap, which a product loop
-checks before it starts.  The one sum outside this module, the dual theta
-sum in ``qspecial``, drops its terms below the same ``CUT``; it has at
-most a few terms for q in (0.02, 1), so it needs no cap.
+Three product loops: q-Pochhammer, its log, and the divided difference
+[theta] that the contour diagonal of the theta kernel runs over its node
+arrays.  Beside them the 2phi1 partial sums, their a2 -> 0 limit, theta3
+and the complex expm1 that the dual theta sum and the kernels' sinh
+quotients share.  The functions take scalars and return plain tuples,
+except that ``theta_dd_raw`` also takes arrays of ``a`` and ``b`` and then
+returns arrays.  Argument reduction lives in the callers (``qspecial``,
+``qhyper``, ``kernels``).  The truncation rule lives here: each loop drops
+the terms below ``CUT`` and raises ``ArithmeticError`` rather than exceed
+its cap, which a product loop checks before it starts.  The one sum outside
+this module, the dual theta sum in ``qspecial``, drops its terms below the
+same ``CUT``; it has at most a few terms for q in (0.02, 1), so it needs no
+cap.  theta, its log-derivative, the divided differences rho and [F] and
+log (q; q)_inf are read from that sum.
 """
 
 import cmath
@@ -84,22 +85,6 @@ def logqpoch_raw(z, q):
     return total - w / (1.0 - q), abs(w) / (1.0 - q)
 
 
-def theta_ratio_dd_raw(a, b, q):
-    """rho(a, b) = (theta(a)/theta(b) - 1)/(a - b) over the factor ratios
-    1 + (a - b) c_i of theta(a)/theta(b): E <- E + c_i (1 + (a - b) E) keeps
-    E = (partial ratio - 1)/(a - b), so nothing cancels as b -> a and
-    rho(a, a) = theta'(a)/theta(a).  Not valid where b lies on q^Z."""
-    d, total = a - b, -1.0 / (1.0 - b)
-    scale = max(abs(a), abs(b), 1.0 / abs(a), 1.0 / abs(b))
-    _check_iterations(scale, q)
-    p = q
-    while p * scale > CUT:  # as the product loops stop
-        total += -p / (1.0 - b * p) * (1.0 + d * total)
-        total += p / (a * (b - p)) * (1.0 + d * total)
-        p *= q
-    return total, p * scale * abs(1.0 + d * total) / (1.0 - q)
-
-
 def theta_dd_raw(a, b, c, q):
     """T = [theta](a, b)/theta(c), P = theta(b)/theta(c) and A =
     theta(a)/theta(c), [theta](a, b) = (theta(a) - theta(b))/(a - b), in one
@@ -126,21 +111,6 @@ def theta_dd_raw(a, b, c, q):
         A *= f * g
         p *= q
     return T, P, A
-
-
-def zlogderiv_dd_raw(a, b, q):
-    """Divided difference [F](a, b) = (F(a) - F(b)) / (a - b) of
-    F(z) = z theta'(z)/theta(z), term by term; F'(a) at a = b.  Not valid
-    where a or b lies on q^Z.
-    """
-    total = -1.0 / ((1.0 - a) * (1.0 - b))
-    scale = max(abs(a), abs(b), 1.0 / abs(a), 1.0 / abs(b))
-    _check_iterations(scale, q)
-    p = q
-    while p * scale > CUT:  # as the product loops stop
-        total += -p / ((1.0 - a * p) * (1.0 - b * p)) - p / ((a - p) * (b - p))
-        p *= q
-    return total, p * (1.0 + abs(1.0 / (a * b))) / (1.0 - q)
 
 
 def phi21_raw(a1, a2, b, z, q):

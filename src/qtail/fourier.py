@@ -21,9 +21,9 @@ import cmath
 
 import numpy as np
 
-from ._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
 from .kernels import AdmissiblePair, QContext, _PairPlan, truncation_order
-from .qspecial import theta, theta_multi
+from .qspecial import (QParam, _log_theta_ratio, _q_power, _theta_ratio_dd, _zlogderiv_dd,
+                       log_theta, theta, theta_deriv, theta_logderiv, theta_multi)
 
 __all__ = [
     "truncation_order",
@@ -74,29 +74,50 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarra
 
 
 def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:
-    """Theta log-derivative form of the same matrix (summed term by term
-    via the two classical bilateral summation formulas)."""
-    qv = ctx.q.q
+    """Theta log-derivative form of the same matrix: the two classical
+    bilateral summation formulas sum its series in closed form, through the
+    divided differences [F], rho and [theta] at points that depend on eta.
+    Each is read from the dual-nome sum of ``qspecial``, so no step takes a
+    product and the cost does not grow as q -> 1."""
+    q = ctx.q
     g, d = pair.gamma, pair.delta
     plan = _PairPlan.build(pair, ctx)
-    pp0, mm0, sq, h, eps, r2, E, pref, th_gpdm = plan.lemma_prefactors
+    pp0, mm0, sq, h, eps, r2, E, lpref, lt_gpdm = plan.lemma_prefactors
     e = cmath.exp(1j * eta)
     a_g, a_d = -e * sq / g, -e * sq / d
     # the eta terms enter with sign opposite to F(z) = z theta'(z)/theta(z):
     # C (F(a_d) - F(a_g)) = B e sq h [F](a_g, a_d)
-    t = plan.B * e * sq * h * zlogderiv_dd_raw(a_g, a_d, qv)[0]
+    t = plan.B * e * sq * h * _zlogderiv_dd(a_g, a_d, q)
     # pm = -pref/B C (X(gamma, delta) - X(delta, gamma)), X(gamma, delta) =
     # th_gpdm theta(b_g)/theta(a_g).  E <- E + k (1 + eps E) carries (product
     # - 1)/eps over the factors 1 + eps k of the ratio of the two X but
     # theta(b_d)/theta(b_g), taken as a divided difference: theta(b_g) may be 0.
-    k = -e * sq * h * theta_ratio_dd_raw(a_g, a_d, qv)[0]
+    k = -e * sq * h * _theta_ratio_dd(a_g, a_d, q)
     E += k * (1.0 + eps * E)
-    # [theta](b_d, b_g)/theta(a_g) and theta(b_g)/theta(a_g)
-    dd_b, r_b, _ = theta_dd_raw(e * r2 * sq / d, e * r2 * sq / g, a_g, qv)
-    Z = th_gpdm * (r_b * E - (1.0 + eps * E) * e * r2 * sq * h * dd_b)
+    lp, dd_b, r_b = _cross_thetas(e * r2 * sq / d, e * r2 * sq / g, a_g, q)
+    Z = r_b * E - (1.0 + eps * E) * e * r2 * sq * h * dd_b
     # mp is pm at e^{-i eta} (by theta(z) = theta(q/z)), which for a real
-    # pair or one stored with delta = conj(gamma) makes its Z conj(Z).
-    return np.array([[pp0 + t, pref * Z], [pref * Z.conjugate(), mm0 - t]], dtype=complex)
+    # pair or one stored with delta = conj(gamma) makes it pref conj(pm/pref).
+    lz = lt_gpdm + lp
+    return np.array([[pp0 + t, cmath.exp(lpref + lz) * Z],
+                     [cmath.exp(lpref + lz.conjugate()) * Z.conjugate(), mm0 - t]], dtype=complex)
+
+
+def _cross_thetas(b_d: complex, b_g: complex, a: complex, q: QParam) -> tuple[complex, complex,
+                                                                          complex]:
+    """(l, T, P) with [theta](b_d, b_g)/theta(a) = e^l T and theta(b_g)/theta(a)
+    = e^l P, finite where theta(b_g) or theta(b_d) is 0: [theta](b_d, b_g) =
+    theta(b) rho(o, b), with b the one of b_d, b_g of larger |theta| and o
+    the other, and theta'(b) at b_d = b_g.  e^l = theta(b)/theta(a) stays a
+    log, as it can leave double range where the entry does not."""
+    if b_d == b_g:
+        if _q_power(b_g, q.q) is not None:
+            return -log_theta(a, q), theta_deriv(b_g, q).value, 0j
+        return _log_theta_ratio(b_g, a, q), theta_logderiv(b_g, q), complex(1.0)
+    lr = _log_theta_ratio(b_d, b_g, q)  # log(theta(b_d)/theta(b_g))
+    if lr.real > 0.0:
+        return _log_theta_ratio(b_d, a, q), _theta_ratio_dd(b_g, b_d, q), cmath.exp(-lr)
+    return _log_theta_ratio(b_g, a, q), _theta_ratio_dd(b_d, b_g, q), complex(1.0)
 
 
 def projection_report(eta: float, pair: AdmissiblePair, ctx: QContext) -> dict:

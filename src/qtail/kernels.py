@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import cexpm1, logqpoch_raw, theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
+from ._core import cexpm1, logqpoch_raw, theta_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, phi21
-from .qspecial import (REL_TOL, DomainError, EvalResult, QParam, log_theta, qpoch_inf,
-                       qpoch_multi, theta)
+from .qspecial import (REL_TOL, DomainError, EvalResult, QParam, _log_qpoch_pair, _theta_ratio_dd,
+                       _zlogderiv_dd, log_theta, qpoch_inf, qpoch_multi, theta)
 
 __all__ = [
     "QContext",
@@ -240,10 +240,13 @@ class _PairPlan:
     where C has its pole.  The plan holds B = C (delta - gamma), smooth
     there, and writes each product as B times a divided difference, so
     every admissible pair takes one path.  ``build`` evaluates the six log
-    thetas and log (q; q)_inf behind B; every other constant (D for the
-    cross entries, the two diagonal values, the Fourier routes' prefactors,
-    the table of ``tilde``, from which every lattice value is read) is
-    derived on first use and kept on the plan, so it leaves the cache with it.
+    thetas, log (q; q)_inf and log (q gamma/delta, q delta/gamma; q)_inf
+    behind B, each from the dual-nome sum of ``qspecial``, so no step takes
+    a product and the cost does not grow as q -> 1.  Every other constant
+    (D for the cross entries, the two diagonal values, the Fourier routes'
+    prefactors, the table of ``tilde``, from which every lattice value is
+    read) is derived on first use and kept on the plan, so it leaves the
+    cache with it.
     """
 
     pair: AdmissiblePair
@@ -272,12 +275,12 @@ class _PairPlan:
         q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
         lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz = (
             log_theta(z, q) for z in (g * zm, g * zp, d * zm, d * zp, zm / zp, g * d * zm * zp))
-        lqq = logqpoch_raw(q.q, q.q)[0].real
+        lqq = q.lqq[0]
         # B = -theta(g zm, g zp, d zm, d zp)
-        #     / (zp theta(zm/zp, g d zm zp) (q g/d, q d/g, q, q; q)_inf)
+        #     / (zp theta(zm/zp, g d zm zp) (q g/d, q d/g, q, q; q)_inf),
+        # (q g/d, q d/g; q)_inf = theta(g/d)/(1 - g/d), (q; q)_inf^2 at g = d
         logB = lt_gm + lt_gp + lt_dm + lt_dp + 1j * math.pi - math.log(zp) - lt_zz - lt_gdzz
-        logB -= logqpoch_raw(q.q * g / d, q.q)[0] + logqpoch_raw(q.q * d / g, q.q)[0]
-        logB -= 2.0 * lqq
+        logB -= _log_qpoch_pair(g / d, q) + 2.0 * lqq
         half_theta4 = 0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real
         R = math.sqrt((g * d).real)
         # gamma = R e^w and delta = R e^-w; w tends to i pi, not 0, for a
@@ -299,8 +302,8 @@ class _PairPlan:
     @functools.cached_property
     def rho(self) -> tuple[complex, complex]:
         """rho(delta zeta, gamma zeta) at zeta_+ and at zeta_-."""
-        g, d, qv = self.pair.gamma, self.pair.delta, self.ctx.q.q
-        return tuple(theta_ratio_dd_raw(d * zeta, g * zeta, qv)[0]
+        g, d, q = self.pair.gamma, self.pair.delta, self.ctx.q
+        return tuple(_theta_ratio_dd(d * zeta, g * zeta, q)
                      for zeta in (self.ctx.zeta_plus, self.ctx.zeta_minus))
 
     @functools.cached_property
@@ -334,7 +337,9 @@ class _PairPlan:
         """The eta-independent factors of ``fourier_lemma_form``: diag(+1),
         diag(-1), sqrt(q gamma delta), 1/(gamma delta), eps = delta - gamma,
         r^2 = zeta_+/|zeta_-|, the zeta-side part E0 of the cross entries'
-        recurrence, their prefactor and theta(gamma zeta_+) theta(delta zeta_-).
+        recurrence, and the logs of their prefactor and of theta(gamma
+        zeta_+) theta(delta zeta_-), which the lemma form combines with its
+        eta-dependent theta ratio in log space.
 
         theta(delta zeta_+)/theta(gamma zeta_+) = 1 + eps k1 with k1 =
         zeta_+ rho_+, and theta(gamma zeta_-)/theta(delta zeta_-) = 1 + eps k2
@@ -349,10 +354,11 @@ class _PairPlan:
         eps, r2 = d - g, abs(zp / zm)
         rho_p, rho_m = self.rho
         k1, k2 = zp * rho_p, -zm * rho_m / (1.0 + eps * zm * rho_m)
-        pref = self.B * math.exp(2.0 * self.lqq - self.half_theta4 - self.lt_zz.real) / math.sqrt(r2)
+        lpref = (cmath.log(self.B) + 2.0 * self.lqq - self.half_theta4 - self.lt_zz.real
+                 - 0.5 * math.log(r2))
         return (self.diag(1), self.diag(-1), math.sqrt(self.ctx.q.q * (g * d).real),
-                1.0 / (g * d), eps, r2, k1 + k2 * (1.0 + eps * k1), pref,
-                cmath.exp(self.lt_gp + self.lt_dm))
+                1.0 / (g * d), eps, r2, k1 + k2 * (1.0 + eps * k1), lpref,
+                self.lt_gp + self.lt_dm)
 
     def tilde(self, s1: int, s2: int, d: int) -> complex:
         """eps(x) eps(y) K(x, y) for x on branch s1, y on branch s2: by
@@ -386,7 +392,7 @@ class _PairPlan:
         if sign not in self._diags:
             g, d = self.pair.gamma, self.pair.delta
             zeta = self.ctx.zeta_plus if sign > 0 else self.ctx.zeta_minus
-            dd, _ = zlogderiv_dd_raw(d * zeta, g * zeta, self.ctx.q.q)
+            dd = _zlogderiv_dd(d * zeta, g * zeta, self.ctx.q)
             self._diags[sign] = sign * self.B * zeta * dd
         return self._diags[sign]
 
@@ -451,8 +457,7 @@ def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext) 
         # the product as theta_multi forms it, signed zeros included: when it
         # is negative real they choose the branch of the square root
         den = cmath.sqrt(complex(1.0) * tg * td)
-        rho, _ = theta_ratio_dd_raw(x * d, x * g, q.q)
-        return math.sqrt(abs(x)) * tg / den, x * rho
+        return math.sqrt(abs(x)) * tg / den, x * _theta_ratio_dd(x * d, x * g, q)
 
     (qx, rx), (qy, ry) = side(float(xv)), side(float(yv))
     return _PairPlan.build(pair, ctx).B * qx * qy * (rx - ry) / (xv - yv)

@@ -16,8 +16,6 @@ from qtail._core import (
     qpoch_raw,
     theta3_raw,
     theta_dd_raw,
-    theta_ratio_dd_raw,
-    zlogderiv_dd_raw,
 )
 
 # about 3.45e6 factors down to CUT, past the 2e6 cap
@@ -26,11 +24,9 @@ Q_NEAR_ONE = 1.0 - 1e-5
 PRODUCT_LOOPS = {
     "qpoch": lambda: qpoch_raw(0.5 + 0.1j, Q_NEAR_ONE),
     "logqpoch": lambda: logqpoch_raw(0.5 + 0.1j, Q_NEAR_ONE),
-    "theta_ratio_dd": lambda: theta_ratio_dd_raw(0.5 + 0.1j, 0.7, Q_NEAR_ONE),
     "theta_dd": lambda: theta_dd_raw(0.5 + 0.1j, 0.7, 0.6, Q_NEAR_ONE),
     "theta_dd_array": lambda: theta_dd_raw(np.array([0.5 + 0.1j, 0.9]), np.array([0.7, 0.8j]),
                                            0.6, Q_NEAR_ONE),
-    "zlogderiv_dd": lambda: zlogderiv_dd_raw(0.5 + 0.1j, 0.7, Q_NEAR_ONE),
 }
 
 

@@ -26,8 +26,9 @@ from qtail import (
     sample_window,
     validate_pair,
 )
-from qtail._core import theta_dd_raw, theta_ratio_dd_raw, zlogderiv_dd_raw
+from qtail._core import theta_dd_raw
 from qtail.kernels import C_elliptic, _elliptic_direct, _sinh_quotient, log_C_elliptic
+from qtail.qspecial import _theta_ratio_dd, _zlogderiv_dd
 
 import theta_reference
 
@@ -155,12 +156,12 @@ def test_contour_diagonal_through_gamma_equals_delta(name):
 @pytest.mark.parametrize("a", [0.7, 0.31 + 0.4j, -1.6, 2.3 - 0.8j])
 def test_divided_differences_at_a_equal_b(a):
     q = QParam(0.5)
-    rho, _ = theta_ratio_dd_raw(a, a, q.q)
+    rho = _theta_ratio_dd(a, a, q)
     want = theta_reference.logderiv(a, q.q)
     assert abs(rho - want) <= 1e-14 * abs(want)
     T, P, _ = theta_dd_raw(a, a, 0.45 - 0.2j, q.q)
     assert abs(T / P - want) <= 1e-14 * abs(want)
-    F, _ = zlogderiv_dd_raw(a, a, q.q)
+    F = _zlogderiv_dd(a, a, q)
     want = theta_reference.zlogderiv_d(a, q.q)
     assert abs(F - want) <= 1e-14 * abs(want)
 
@@ -174,6 +175,20 @@ def test_lemma_form_where_a_cross_theta_vanishes():
         for eta in (0.0, 1e-9, 0.4):
             closed = fourier_closed(eta, pair, ctx)
             assert np.max(np.abs(closed - fourier_lemma_form(eta, pair, ctx))) <= 1e-13
+
+
+def test_lemma_form_where_theta_of_b_gamma_is_exactly_zero():
+    """gamma != delta with zeta_- chosen so that b_gamma = e^{i eta} r^2
+    sqrt(q gamma delta)/gamma is 1.0 exactly at eta = 0: [theta](b_d, b_g)
+    is taken as theta(b_d) rho(b_g, b_d), from the b of larger |theta|."""
+    ctx = QContext(QParam(0.25), 1.0, -0.5400617248673216)
+    pair = validate_pair(0.6, 0.7, ctx)
+    sq, r2 = math.sqrt(0.25 * 0.6 * 0.7), abs(ctx.zeta_plus / ctx.zeta_minus)
+    assert r2 * sq / pair.gamma == 1.0
+    for eta in (0.0, 1e-9, 0.4):
+        closed = fourier_closed(eta, pair, ctx)
+        assert np.max(np.abs(closed - fourier_lemma_form(eta, pair, ctx))) <= 1e-13
+        assert np.max(np.abs(closed - fourier_series(eta, pair, ctx))) <= 1e-13
 
 
 @pytest.mark.parametrize("x", [1, 2, 7, 37, 400])

@@ -22,8 +22,7 @@ from qtail import (
     tilde_kernel,
     validate_pair,
 )
-from qtail import fourier, kernels, qspecial
-from qtail._core import theta_ratio_dd_raw, zlogderiv_dd_raw
+from qtail import _core, fourier, kernels, qspecial
 from qtail.fourier import truncation_order
 from qtail.kernels import _CACHE_SIZE, C_elliptic, _PairPlan
 from qtail.qspecial import qpoch_inf, theta, theta_logderiv, theta_multi
@@ -216,13 +215,15 @@ class TestPlanConstants:
                 assert abs(a - b) <= 1e-13 * abs(b)
 
     def test_lemma_cross_prefactors(self, ctx, pairs):
-        """pm and mp share -B r theta'(1) / (sqrt(Theta) theta(zeta_+/zeta_-))."""
+        """pm and mp share -B r theta'(1) / (sqrt(Theta) theta(zeta_+/zeta_-)),
+        which the plan holds as a log, as it does theta(gamma zeta_+) theta(delta
+        zeta_-)."""
         q = ctx.q
         zp, zm = ctx.zeta_plus, ctx.zeta_minus
         for p in pairs:
             g, d = p.gamma, p.delta
             plan = _PairPlan.build(p, ctx)
-            *_, pref, th_gpdm = plan.lemma_prefactors
+            pref, th_gpdm = (cmath.exp(v) for v in plan.lemma_prefactors[-2:])
             sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
             tprime1 = -(qpoch_inf(q.q, q).value ** 2)
             r = math.sqrt(abs(zp / zm))
@@ -286,15 +287,15 @@ class TestRouteCaches:
 
 
 class TestPlanLaziness:
-    def test_diagonal_and_same_branch_entries_run_no_rho_loop(self, monkeypatch, ctx, pair,
+    def test_diagonal_and_same_branch_entries_evaluate_no_rho(self, monkeypatch, ctx, pair,
                                                             cold_caches):
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return theta_ratio_dd_raw(*args)
+            return qspecial._theta_ratio_dd(*args)
 
-        monkeypatch.setattr(kernels, "theta_ratio_dd_raw", counting)
+        monkeypatch.setattr(kernels, "_theta_ratio_dd", counting)
         for sign in (1, -1):
             closed_diag(sign, pair, ctx)
         elliptic_kernel(LatticePoint(1, 2), LatticePoint(1, -1), pair, ctx)
@@ -304,16 +305,17 @@ class TestPlanLaziness:
         elliptic_kernel(LatticePoint(-1, 4), LatticePoint(1, -2), pair, ctx)
         assert len(calls) == 2
 
-    def test_diagonal_runs_one_loop_per_sign(self, monkeypatch, ctx, pair, cold_caches):
+    def test_diagonal_evaluates_one_divided_difference_per_sign(self, monkeypatch, ctx, pair,
+                                                               cold_caches):
         """diag(+1) and diag(-1) are kept on the plan: the diagonal entries,
         one-point correlations and the lemma form's prefactors reuse them."""
         calls = []
 
         def counting(*args):
             calls.append(args)
-            return zlogderiv_dd_raw(*args)
+            return qspecial._zlogderiv_dd(*args)
 
-        monkeypatch.setattr(kernels, "zlogderiv_dd_raw", counting)
+        monkeypatch.setattr(kernels, "_zlogderiv_dd", counting)
         first = [closed_diag(sign, pair, ctx).value for sign in (1, -1)]
         for k in (0, 3, -2):
             for sign in (1, -1):
@@ -321,6 +323,34 @@ class TestPlanLaziness:
         fourier_lemma_form(0.7, pair, ctx)
         assert len(calls) == 2
         assert [closed_diag(sign, pair, ctx).value for sign in (1, -1)] == first
+
+
+def test_takes_no_product(monkeypatch, cold_caches):
+    """At q = 0.995, where a product takes about 13,800 factors, the theta
+    log-derivative, the pair plan and the three Fourier routes run on the
+    dual-nome sum alone: every product loop of ``_core`` raises.  The
+    lemma form still agrees with the lattice sum there."""
+    def refuse(*args):
+        raise AssertionError("product loop called")
+
+    for mod in (_core, qspecial, kernels, fourier):
+        for name in ("qpoch_raw", "logqpoch_raw", "theta_dd_raw"):
+            monkeypatch.setattr(mod, name, refuse, raising=False)
+    q = QParam(0.995)
+    ctx = QContext(q, 1.1, -0.9)
+    for z in (0.9 + 0.3j, -1.02, 7.0 - 1.0j):
+        assert cmath.isfinite(theta_logderiv(z, q))
+        assert cmath.isfinite(qspecial.theta_deriv(z, q).value)
+    assert cmath.isfinite(qspecial.theta_deriv(q.q ** 3, q).value)  # at a zero of theta
+    g = 0.8 * cmath.exp(1.1j)
+    for gamma, delta in ((g, g.conjugate()), (0.9 * 0.995 ** 0.3, 0.9), (0.9, 0.9)):
+        pair = validate_pair(gamma, delta, ctx)
+        _PairPlan.build(pair, ctx)
+        for sign in (1, -1):
+            assert cmath.isfinite(closed_diag(sign, pair, ctx).value)
+        series = fourier_series(0.7, pair, ctx)
+        assert np.all(np.isfinite(fourier_closed(0.7, pair, ctx)))
+        assert np.max(np.abs(fourier_lemma_form(0.7, pair, ctx) - series)) <= 1e-10
 
 
 class TestProjection:

@@ -255,8 +255,8 @@ class TestThetaDeriv:
         pq = qpoch_inf(q.q, q).value
         assert theta_deriv(1.0, q).value == pytest.approx(-pq * pq, rel=1e-12)
 
-    @given(st.floats(0.2, 0.8), st.integers(-3, 3))
-    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.02, 0.995), st.integers(-3, 3))
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_lattice_point_vs_finite_difference(self, q, n):
         qp = QParam(q)
         zn = q ** n
@@ -303,14 +303,99 @@ class TestThetaDeriv:
         err = abs(theta_logderiv(z, QParam(q)) - want)
         assert err <= 5e-14 * abs(want) + 8 * EPS * abs(z_dlogderiv)
 
-    def test_logderiv_raises_beyond_iteration_cap(self):
-        # about 3.5e9 factors at q = 1 - 1e-8, past the loops' 2e6 cap
-        with pytest.raises(ArithmeticError):
-            theta_logderiv(0.5 + 0.1j, QParam(1.0 - 1e-8))
+    @given(st.floats(0.02, 0.995), st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi),
+           st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_logderiv_and_deriv_over_the_domain(self, q, t, phi, n):
+        """theta_logderiv at z = q^(n + t) e^{i phi} against the 40-digit
+        reference within its conditioning, and theta_deriv as theta times it."""
+        qp = QParam(q)
+        z = q ** (n + t) * cmath.exp(1j * phi)
+        assume(abs(t) > 1e-6 or abs(phi) > 1e-6)
+        want, _, cond, _ = theta_reference.divided_differences(z, z, q)
+        assert abs(theta_logderiv(z, qp) - want) <= 5e-14 * abs(want) + 8 * EPS * cond
+        lt = log_theta(z, qp)
+        if qspecial.LOG_TINY < lt.real < qspecial.LOG_HUGE:
+            d = theta_deriv(z, qp).value
+            assert abs(d - cmath.exp(lt) * theta_logderiv(z, qp)) <= 1e-13 * abs(d)
+
+    def test_logderiv_beyond_the_product_cap(self):
+        """At q = 1 - 1e-8, where the product would take 3.5e9 factors, the
+        dual sum still takes a handful of terms: a value that agrees with
+        the reference, or a typed error."""
+        z, q = 0.5 + 0.1j, 1.0 - 1e-8
+        want, _, cond, _ = theta_reference.divided_differences(z, z, q)
+        try:
+            got = theta_logderiv(z, QParam(q))
+        except (DomainError, ArithmeticError):
+            return
+        assert abs(got - want) <= 5e-14 * abs(want) + 8 * EPS * cond
 
     def test_logderiv_rejects_zero_locus(self):
         with pytest.raises(DomainError):
             theta_logderiv(0.5 ** 2, QParam(0.5))
+
+
+# the divided differences at b = a (1 + t), t = 0 giving theta'/theta and F'
+DD_Q = (0.02, 0.1, 0.3, 0.5, 0.85, 0.95, 0.995)
+DD_T = (0.0, 1e-15, 1e-12, 1e-8, 1e-4, 1e-1)
+
+
+def _dd_pairs(q, t):
+    """(a, b) = m (1 -+ t w / 2) around centres m, in directions w: a generic
+    point; pairs across the reduction annulus's inner and outer circle
+    (|m| = q^{+-1/2}); across the positive and the negative real axis, the
+    second the cut of the logarithm; and a point reduced by several powers
+    of q."""
+    out = []
+    for m, w in ((0.9 * cmath.exp(0.7j), cmath.exp(0.3j)), (q ** 0.5, 1.0),
+                 (q ** -0.5 * cmath.exp(2j), 1.0), (0.8, 1j), (-1.3, 1j),
+                 (q ** -2.3 * cmath.exp(-0.4j), cmath.exp(-1j))):
+        out.append((m, m) if t == 0.0 else (m * (1.0 - 0.5 * t * w), m * (1.0 + 0.5 * t * w)))
+    return out
+
+
+@pytest.mark.parametrize("q", DD_Q)
+def test_divided_differences_match_the_reference(q):
+    """rho, [F] and theta'/theta against the 40-digit reference: within
+    1e-13 relative, or within what a common relative perturbation of 8
+    ulps of both arguments moves the exact value by (the conditioning
+    bound of test_logderiv_near_one_within_conditioning, which it is at
+    a = b).  Nothing cancels as b -> a."""
+    qp = QParam(q)
+    for t in DD_T:
+        for a, b in _dd_pairs(q, t):
+            for x, y in ((a, b), (b, a)):
+                rho, fdd, c_rho, c_f = theta_reference.divided_differences(x, y, q)
+                got = qspecial._theta_ratio_dd(x, y, qp)
+                assert abs(got - rho) <= 1e-13 * abs(rho) + 8 * EPS * c_rho, (t, x, y)
+                got = qspecial._zlogderiv_dd(x, y, qp)
+                assert abs(got - fdd) <= 1e-13 * abs(fdd) + 8 * EPS * c_f, (t, x, y)
+            L, _, c_l, _ = theta_reference.divided_differences(a, a, q)
+            assert abs(theta_logderiv(a, qp) - L) <= 1e-13 * abs(L) + 8 * EPS * c_l
+
+
+@pytest.mark.parametrize("q", [0.02, 0.5, 0.9])
+def test_dual_reference_matches_the_product_reference(q):
+    """The reference's dual route against its product route: theta'/theta
+    and F' at a point, rho and [F] at a pair far enough apart that the
+    product route's double-precision thetas do not cancel."""
+    for a, b in ((0.7, 1.9 - 0.4j), (-1.3 + 0.2j, 0.4 - 0.1j), (3.1 + 0.4j, 0.9j)):
+        L, dF, _, _ = theta_reference.divided_differences(a, a, q)
+        assert abs(L - theta_reference.logderiv(a, q)) <= 1e-15 * abs(L)
+        assert abs(dF - theta_reference.zlogderiv_d(a, q)) <= 1e-15 * abs(dF)
+        rho, fdd, _, _ = theta_reference.divided_differences(a, b, q)
+        ta, tb = theta_reference.theta(a, q), theta_reference.theta(b, q)
+        assert abs(rho - (ta / tb - 1) / (a - b)) <= 1e-14 * abs(rho)
+        fa, fb = a * theta_reference.logderiv(a, q), b * theta_reference.logderiv(b, q)
+        assert abs(fdd - (fa - fb) / (a - b)) <= 1e-14 * abs(fdd)
+
+
+def test_log_qq_matches_the_product():
+    """The dual form of log (q; q)_inf against the product it replaces."""
+    for q in DD_Q:
+        want = math.log(theta_reference._qpoch(mp.mpf(q), mp.mpf(q)))
+        assert abs(QParam(q).lqq[0] - want) <= 1e-14 * abs(want)
 
 
 class TestTheta3:

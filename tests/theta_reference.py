@@ -20,7 +20,9 @@ Every quantity is summed at 40 digits from the float inputs, so the
 cancellation in the quotient form near gamma = delta costs nothing that
 shows at double precision.  ``theta_product`` is the plain product at a
 precision sized from (q, z), for q up to 0.995, where mpmath's own
-q-functions give up.
+q-functions give up.  ``divided_differences`` sums rho and [F] from
+Jacobi's imaginary transformation of theta_1 instead, a few terms at any
+q in (0, 1); at q <= 0.9 it agrees with the product to double precision.
 """
 
 import math
@@ -192,3 +194,65 @@ def kernel_matrix(xs, gamma, delta, q: float, zeta_plus: float,
 
         n = len(xs)
         return [[complex(entry(i, j)) for j in range(n)] for i in range(n)]
+
+
+
+def _modular(z, q):
+    """(Lambda, F, F', z F'') at z for F(z) = z theta'(z)/theta(z), with
+    Lambda = log theta(z) up to an additive constant that depends on q
+    alone, so that differences of Lambda are logs of theta ratios.
+
+    z = q^n w with |w| near 1, and theta(w) is proportional to e^{-iv}
+    theta_1(v | tau) with w = e^{-2iv}, nome q^{1/2} = e^{i pi tau}.
+    Jacobi's imaginary transformation (DLMF 20.7.30) turns theta_1(v | tau)
+    into e^{i tau' v^2/pi} theta_1(v tau' | tau'), tau' = -1/tau = 2 pi i/r,
+    whose sine series has the nome e^{-2 pi^2/r}: a few terms at any q in
+    (0, 1), where the product needs about 92/r factors at 40 digits."""
+    r = -mp.log(q)
+    n = int(mp.nint(mp.log(abs(z)) / -r))
+    w = z * q ** -n
+    lw = mp.log(w)
+    v = 1j * lw / 2
+    tp = 2j * mp.pi / r
+    nome = mp.exp(-2 * mp.pi ** 2 / r)
+    x = v * tp
+    s = [mp.mpf(0)] * 4  # theta_1 and its first three derivatives, up to a factor
+    k = 0
+    while True:
+        m = 2 * k + 1
+        a = (-1) ** k * nome ** ((k + mp.mpf(1) / 2) ** 2)
+        sn, cs = a * mp.sin(m * x), a * mp.cos(m * x)
+        s = [s[0] + sn, s[1] + m * cs, s[2] - m ** 2 * sn, s[3] - m ** 3 * cs]
+        if k > 0 and m ** 3 * (abs(sn) + abs(cs)) < mp.mpf(10) ** -(3 * DPS) * abs(s[0]):
+            break
+        k += 1
+    g1 = s[1] / s[0]
+    g2 = s[2] / s[0] - g1 ** 2
+    g3 = s[3] / s[0] - 3 * g1 * s[2] / s[0] + 2 * g1 ** 3
+    lam = (1j * mp.pi * n + n * (n - 1) * r / 2 - n * lw - 1j * v + 1j * tp * v * v / mp.pi
+           + mp.log(s[0]))
+    F = -n + mp.mpf(1) / 2 - tp * v / mp.pi + 1j * tp / 2 * g1
+    dF = 1j / 2 * (-tp / mp.pi + 1j * tp ** 2 / 2 * g2) / z
+    zd2F = -dF - 1j * tp ** 3 * g3 / (8 * z)
+    return lam, F, dF, zd2F
+
+
+def divided_differences(a, b, q) -> tuple[complex, complex, float, float]:
+    """(rho(a, b), [F](a, b), c_rho, c_F) for rho(a, b) = (theta(a)/theta(b)
+    - 1)/(a - b) and [F](a, b) = (F(a) - F(b))/(a - b), F(z) = z
+    theta'(z)/theta(z); theta'(a)/theta(a) and F'(a) at a = b.  c_rho and c_F
+    are |d/ds| at s = 1 of each at (s a, s b): what a common relative
+    perturbation of the two arguments moves them by, z L'(z) and z F''(z)
+    at a = b.  Summed at 2 DPS digits from the float inputs, so that at
+    b = a (1 + 1e-15) the cancellation in the differences leaves DPS digits."""
+    with mp.workdps(2 * DPS):
+        q, a, b = mp.mpf(q), _mp(a), _mp(b)
+        la, Fa, dFa, d2a = _modular(a, q)
+        if a == b:
+            L = Fa / a
+            return complex(L), complex(dFa), float(abs(dFa - L)), float(abs(d2a))
+        lb, Fb, dFb, _ = _modular(b, q)
+        ratio = mp.exp(la - lb)
+        rho, fdd = (ratio - 1) / (a - b), (Fa - Fb) / (a - b)
+        return (complex(rho), complex(fdd), float(abs(ratio * fdd - rho)),
+                float(abs((a * dFa - b * dFb) / (a - b) - fdd)))
