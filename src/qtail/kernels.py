@@ -242,11 +242,12 @@ class _PairPlan:
     every admissible pair takes one path.  ``build`` evaluates the six log
     thetas, log (q; q)_inf and log (q gamma/delta, q delta/gamma; q)_inf
     behind B, each from the dual-nome sum of ``qspecial``, so no step takes
-    a product and the cost does not grow as q -> 1.  Every other constant
-    (D for the cross entries, the two diagonal values, the Fourier routes'
-    prefactors, the table of ``tilde``, from which every lattice value is
+    a product and the cost does not grow as q -> 1.  Every other per-pair
+    value (rho for the cross entries and D from it, the two diagonal
+    values, the table of ``tilde``, from which every lattice value is
     read) is derived on first use and kept on the plan, so it leaves the
-    cache with it.
+    cache with it.  The plan holds values, not route algebra: each Fourier
+    route forms its own eta-independent factors from them in ``fourier``.
     """
 
     pair: AdmissiblePair
@@ -257,7 +258,6 @@ class _PairPlan:
     lt_dp: complex
     lt_zz: complex  # log theta(zeta_- / zeta_+)
     lt_gdzz: complex  # log theta(gamma delta zeta_- zeta_+)
-    lqq: float  # log (q; q)_inf
     B: complex
     R: float  # sqrt(gamma delta), positive root
     s: complex  # log(gamma / R) = s + i pi kappa, with s -> 0 as delta -> gamma
@@ -275,12 +275,11 @@ class _PairPlan:
         q, zp, zm = ctx.q, ctx.zeta_plus, ctx.zeta_minus
         lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz = (
             log_theta(z, q) for z in (g * zm, g * zp, d * zm, d * zp, zm / zp, g * d * zm * zp))
-        lqq = q.lqq[0]
         # B = -theta(g zm, g zp, d zm, d zp)
         #     / (zp theta(zm/zp, g d zm zp) (q g/d, q d/g, q, q; q)_inf),
         # (q g/d, q d/g; q)_inf = theta(g/d)/(1 - g/d), (q; q)_inf^2 at g = d
         logB = lt_gm + lt_gp + lt_dm + lt_dp + 1j * math.pi - math.log(zp) - lt_zz - lt_gdzz
-        logB -= _log_qpoch_pair(g / d, q) + 2.0 * lqq
+        logB -= _log_qpoch_pair(g / d, q) + 2.0 * q.lqq[0]
         half_theta4 = 0.5 * (lt_gm + lt_dm + lt_gp + lt_dp).real
         R = math.sqrt((g * d).real)
         # gamma = R e^w and delta = R e^-w; w tends to i pi, not 0, for a
@@ -288,7 +287,7 @@ class _PairPlan:
         w = cmath.log(g / R)
         kappa = round(w.imag / math.pi)
         return cls(
-            pair, ctx, lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz, lqq,
+            pair, ctx, lt_gm, lt_gp, lt_dm, lt_dp, lt_zz, lt_gdzz,
             B=cmath.exp(logB),
             R=R,
             s=w - 1j * math.pi * kappa,
@@ -313,52 +312,6 @@ class _PairPlan:
         rho_p, rho_m = self.rho
         return (cmath.exp(self.lt_gm + self.lt_gp - self.half_theta4)
                 * (self.ctx.zeta_plus * rho_p - self.ctx.zeta_minus * rho_m))
-
-    @functools.cached_property
-    def closed_prefactors(self) -> tuple[float, float, float, float]:
-        """The eta-independent factors of ``fourier_closed``: s = sqrt(gamma
-        delta / q) and, with b = theta(zeta_-/zeta_+, gamma delta zeta_-
-        zeta_+), the pp, mm and cross prefactors q theta(gamma zeta_-, delta
-        zeta_-) / (gamma delta zeta_+^2 b), q theta(gamma zeta_+, delta
-        zeta_+) / (gamma delta |zeta_- zeta_+| b) and -q sqrt(Theta) /
-        (gamma delta zeta_+ sqrt|zeta_- zeta_+| b).  Each theta product here
-        is positive, so each factor is the exp of real parts of the logs."""
-        qv, zp, zm = self.ctx.q.q, self.ctx.zeta_plus, self.ctx.zeta_minus
-        gd = (self.pair.gamma * self.pair.delta).real
-        lb = (self.lt_zz + self.lt_gdzz).real
-        f = qv / (gd * zp)
-        return (math.sqrt(gd / qv),
-                f / zp * math.exp((self.lt_gm + self.lt_dm).real - lb),
-                f / abs(zm) * math.exp((self.lt_gp + self.lt_dp).real - lb),
-                -f / math.sqrt(abs(zm * zp)) * math.exp(self.half_theta4 - lb))
-
-    @functools.cached_property
-    def lemma_prefactors(self) -> tuple:
-        """The eta-independent factors of ``fourier_lemma_form``: diag(+1),
-        diag(-1), sqrt(q gamma delta), 1/(gamma delta), eps = delta - gamma,
-        r^2 = zeta_+/|zeta_-|, the zeta-side part E0 of the cross entries'
-        recurrence, and the logs of their prefactor and of theta(gamma
-        zeta_+) theta(delta zeta_-), which the lemma form combines with its
-        eta-dependent theta ratio in log space.
-
-        theta(delta zeta_+)/theta(gamma zeta_+) = 1 + eps k1 with k1 =
-        zeta_+ rho_+, and theta(gamma zeta_-)/theta(delta zeta_-) = 1 + eps k2
-        with k2 = -zeta_- rho_- / (1 + eps zeta_- rho_-), as rho(b, a) =
-        rho(a, b) / (1 + (a - b) rho(a, b)).  The pm and mp prefactors -B r
-        theta'(1) / (sqrt(Theta) theta(zeta_+/zeta_-)) and -B theta'(1) / (r
-        sqrt(Theta) theta(zeta_-/zeta_+)), r^2 = zeta_+/|zeta_-|, are equal:
-        theta(zeta_+/zeta_-) = r^2 theta(zeta_-/zeta_+), theta'(1) = -(q; q)^2.
-        """
-        g, d = self.pair.gamma, self.pair.delta
-        zp, zm = self.ctx.zeta_plus, self.ctx.zeta_minus
-        eps, r2 = d - g, abs(zp / zm)
-        rho_p, rho_m = self.rho
-        k1, k2 = zp * rho_p, -zm * rho_m / (1.0 + eps * zm * rho_m)
-        lpref = (cmath.log(self.B) + 2.0 * self.lqq - self.half_theta4 - self.lt_zz.real
-                 - 0.5 * math.log(r2))
-        return (self.diag(1), self.diag(-1), math.sqrt(self.ctx.q.q * (g * d).real),
-                1.0 / (g * d), eps, r2, k1 + k2 * (1.0 + eps * k1), lpref,
-                self.lt_gp + self.lt_dm)
 
     def tilde(self, s1: int, s2: int, d: int) -> complex:
         """eps(x) eps(y) K(x, y) for x on branch s1, y on branch s2: by

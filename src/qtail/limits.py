@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .kernels import (
@@ -24,6 +25,7 @@ from .kernels import (
     AdmissibleQuadruple,
     LatticePoint,
     QContext,
+    _require_points,
     basic_kernel,
     elliptic_kernel,
     hat_kernel,
@@ -99,8 +101,9 @@ def tail_limit_scan(x, y, quad: AdmissibleQuadruple, ctx: QContext,
     K4 is the four-parameter kernel, K2 the two-parameter theta kernel
     with the same (gamma, delta).
     """
-    if M_max < 0:
-        raise DomainError("M_max must be a non-negative integer")
+    _require_points(x, y)
+    if not isinstance(M_max, numbers.Integral) or M_max < 0:
+        raise DomainError(f"M_max must be a non-negative integer, got {M_max!r}")
     target = elliptic_kernel(x, y, quad.pair, ctx).value
     sgn = x.sign * y.sign
     out = []

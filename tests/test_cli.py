@@ -96,6 +96,15 @@ class TestEval:
         trace = m[0][0][0] + m[1][1][0]
         assert trace == pytest.approx(1.0, abs=1e-10)
 
+    def test_fourier_matrix_near_q_one(self, capsys):
+        """At q = 0.995 single thetas reach e^{+-300}; the matrix is still a
+        projection of trace 1."""
+        rc = main(["eval", "fourier", "--q", "0.995", "--zeta-plus", "1.1", "--zeta-minus", "-0.9",
+                   "--gamma", "0.8986476307835747", "--delta", "0.9", "--eta", "3.0"])
+        assert rc == EXIT_OK
+        m = json.loads(capsys.readouterr().out)["matrix"]
+        assert m[0][0][0] + m[1][1][0] == pytest.approx(1.0, abs=1e-10)
+
     def test_trig_and_sine(self, capsys):
         rc = main(["eval", "trig", "--c", "0.3", "--d", "0.7",
                    "--u", "0.4", "--v", "0.1", "--i", "1", "--j", "2"])

@@ -59,6 +59,11 @@ class TestThreeRoutes:
         assert np.max(np.abs(S - C)) < 1e-10
         assert np.max(np.abs(S - L)) < 1e-10
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_closed_rejects_non_finite_eta(self, ctx, pair, eta):
+        with pytest.raises(qspecial.DomainError, match="eta"):
+            fourier_closed(eta, pair, ctx)
+
     def test_random_pairs(self, rng):
         for _ in range(8):
             ctx = draw_context(rng, q_range=(0.3, 0.85))
@@ -91,11 +96,45 @@ class TestLatticeSum:
 
 
 def _closed_ten_thetas(eta, pair, ctx):
-    """fourier_closed with each entry's two numerator thetas evaluated."""
+    """fourier_closed with each entry's ten log thetas evaluated, the
+    conjugate points' included."""
+    q = ctx.q
+    g, d = pair.gamma, pair.delta
+    zp, zm = ctx.zeta_plus, ctx.zeta_minus
+    plan = _PairPlan.build(pair, ctx)
+    gd = (g * d).real
+    s = math.sqrt(gd / q.q)
+    lf = math.log(q.q / (gd * zp)) - (plan.lt_zz + plan.lt_gdzz).real
+    l_pp = lf - math.log(zp) + (plan.lt_gm + plan.lt_dm).real
+    l_mm = lf - math.log(abs(zm)) + (plan.lt_gp + plan.lt_dp).real
+    l_x = lf - 0.5 * math.log(abs(zm * zp)) + plan.half_theta4
+    e = cmath.exp(1j * eta)
+    zs = {zeta: -e * zeta * s for zeta in (zp, zm)}
+
+    def lt(z):
+        return qspecial._log_theta_any(z, q)
+
+    l_den = lt(-e * q.q * s / g) + lt(-e * q.q * s / d)
+
+    def entry(l_pref, z1, z2):  # theta(-e^{i eta} z1 s) theta(-e^{-i eta} z2 s) / den
+        return cmath.exp(l_pref + lt(zs[z1]) + lt(zs[z2].conjugate()) - l_den)
+
+    return np.array([[entry(l_pp, zp, zp), -entry(l_x, zp, zm)],
+                     [-entry(l_x, zm, zp), entry(l_mm, zm, zm)]])
+
+
+def _closed_product(eta, pair, ctx):
+    """fourier_closed as the plain-float product of thetas, prefactors
+    from theta_multi (moderate q only: the thetas must stay in range)."""
     q, qv = ctx.q, ctx.q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    s, pp_pref, mm_pref, cross_pref = _PairPlan.build(pair, ctx).closed_prefactors
+    base = theta_multi([zm / zp, g * d * zm * zp], q).value
+    sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
+    pp_pref = qv * theta_multi([g * zm, d * zm], q).value / (g * d * zp * zp * base)
+    mm_pref = qv * theta_multi([g * zp, d * zp], q).value / (g * d * abs(zm * zp) * base)
+    cross_pref = -qv * sq_theta / (g * d * zp * math.sqrt(abs(zm * zp)) * base)
+    s = math.sqrt((g * d).real / qv)
     e, ec = cmath.exp(1j * eta), cmath.exp(-1j * eta)
     den = theta_multi([-e * qv * s / g, -e * qv * s / d], q).value
     return np.array([
@@ -136,10 +175,9 @@ def _lemma_six_thetas(eta, pair, ctx):
 
 
 class TestDistinctThetas:
-    """Each route evaluates every distinct theta once per eta: the closed
-    form takes theta(-e^{-i eta} zeta s) as the conjugate of
-    theta(-e^{i eta} zeta s), the lemma form takes its mp entry from the pm
-    one and its other thetas from its divided-difference loops."""
+    """The closed form takes log theta(-e^{-i eta} zeta s) as the conjugate
+    of log theta(-e^{i eta} zeta s), the lemma form takes its mp entry from
+    the pm one and its other thetas from its divided-difference loops."""
 
     GRID = [0.0, math.pi, -math.pi] + list(np.linspace(-math.pi, math.pi, 33))
 
@@ -171,27 +209,54 @@ class TestDistinctThetas:
     @pytest.mark.parametrize("route,per_eta", [(fourier_closed, 4), (fourier_lemma_form, 0)])
     def test_thetas_per_eta(self, monkeypatch, ctx, pairs, route, per_eta, cold_caches):
         """Once the plan is built, every call, the first included, makes only
-        its per-eta theta calls: the eta-independent factors come from the
-        plan's logs."""
-        calls = []
+        its per-eta log theta calls and no theta call: the eta-independent
+        factors come from the plan's logs."""
+        thetas, logs = [], []
 
-        def counting(z, q):
-            calls.append(z)
-            return theta(z, q)
+        def counting(calls, fn):
+            def wrapped(z, q):
+                calls.append(z)
+                return fn(z, q)
+            return wrapped
 
-        monkeypatch.setattr(qspecial, "theta", counting)
-        monkeypatch.setattr(fourier, "theta", counting)
+        monkeypatch.setattr(qspecial, "theta", counting(thetas, theta))
+        monkeypatch.setattr(fourier, "_log_theta_any",
+                            counting(logs, qspecial._log_theta_any))
         etas = (0.3, -2.2, math.pi)
         for p in pairs:
             _PairPlan.build(p, ctx)
-            calls.clear()
+            thetas.clear()
+            logs.clear()
             for eta in etas:
                 route(eta, p, ctx)
-            assert len(calls) == per_eta * len(etas)
+            assert len(logs) == per_eta * len(etas)
+            assert thetas == []
+
+
+def test_log_theta_calls_per_route(monkeypatch, cold_caches):
+    """On a warm plan of a far principal pair, the lemma form evaluates six
+    log thetas at its four distinct points (a_gamma and the b of larger
+    |theta| twice each) and the closed form four."""
+    ctx = QContext(QParam(0.3), 1.3, -0.55)
+    g = 0.8 * cmath.exp(1.1j)
+    pair = validate_pair(g, g.conjugate(), ctx)
+    calls = []
+    log_theta = qspecial._log_theta
+
+    def counting(z, q):
+        calls.append(z)
+        return log_theta(z, q)
+
+    monkeypatch.setattr(qspecial, "_log_theta", counting)
+    for route, want in ((fourier_lemma_form, 6), (fourier_closed, 4)):
+        route(0.7, pair, ctx)  # builds the plan and what it keeps
+        calls.clear()
+        route(0.7, pair, ctx)
+        assert len(calls) == want
 
 
 class TestPlanConstants:
-    """The Fourier routes' eta-independent factors, derived from the plan's
+    """The closed route's eta-independent factors, derived from the plan's
     logs, against the theta products they stand for."""
 
     @pytest.fixture
@@ -199,39 +264,14 @@ class TestPlanConstants:
         return [pair, principal_pair, validate_pair(0.31 / ctx.zeta_minus, 0.44 / ctx.zeta_minus, ctx),
                 validate_pair(GAMMA_REF, GAMMA_REF, ctx)]
 
-    def test_closed_prefactors(self, ctx, pairs):
-        q, qv = ctx.q, ctx.q.q
-        zp, zm = ctx.zeta_plus, ctx.zeta_minus
+    def test_closed_is_the_product_formula(self, ctx, pairs):
+        """Summed as logs, the closed form is the plain product of its thetas
+        and prefactors where those stay in double range."""
         for p in pairs:
-            g, d = p.gamma, p.delta
-            base = theta_multi([zm / zp, g * d * zm * zp], q).value
-            sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
-            want = (math.sqrt((g * d).real / qv),
-                    qv * theta_multi([g * zm, d * zm], q).value / (g * d * zp * zp * base),
-                    qv * theta_multi([g * zp, d * zp], q).value / (g * d * abs(zm * zp) * base),
-                    -qv * sq_theta / (g * d * zp * math.sqrt(abs(zm * zp)) * base))
-            got = _PairPlan.build(p, ctx).closed_prefactors
-            for a, b in zip(got, want):
-                assert abs(a - b) <= 1e-13 * abs(b)
-
-    def test_lemma_cross_prefactors(self, ctx, pairs):
-        """pm and mp share -B r theta'(1) / (sqrt(Theta) theta(zeta_+/zeta_-)),
-        which the plan holds as a log, as it does theta(gamma zeta_+) theta(delta
-        zeta_-)."""
-        q = ctx.q
-        zp, zm = ctx.zeta_plus, ctx.zeta_minus
-        for p in pairs:
-            g, d = p.gamma, p.delta
-            plan = _PairPlan.build(p, ctx)
-            pref, th_gpdm = (cmath.exp(v) for v in plan.lemma_prefactors[-2:])
-            sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
-            tprime1 = -(qpoch_inf(q.q, q).value ** 2)
-            r = math.sqrt(abs(zp / zm))
-            for want in (-plan.B * r / sq_theta * tprime1 / theta(zp / zm, q).value,
-                         -plan.B / (r * sq_theta) * tprime1 / theta(zm / zp, q).value):
-                assert abs(pref - want) <= 1e-14 * abs(want)
-            want = theta_multi([g * zp, d * zm], q).value
-            assert abs(th_gpdm - want) <= 1e-14 * abs(want)
+            for eta in (0.0, 0.7, -1.9, 3.0):
+                got = fourier_closed(eta, p, ctx)
+                want = _closed_product(eta, p, ctx)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestRouteCaches:
@@ -261,7 +301,7 @@ class TestRouteCaches:
         assert _PairPlan.build.cache_info().currsize == 2
         plans = [_PairPlan.build(pair, c) for c in (ctx, ctx2)]
         assert _PairPlan.build.cache_info().currsize == 2
-        assert plans[0].closed_prefactors != plans[1].closed_prefactors
+        assert plans[0].rho != plans[1].rho and plans[0].D != plans[1].D
         assert all("lattice" in vars(p) for p in plans)
         assert not np.array_equal(plans[0].lattice, plans[1].lattice)
 
@@ -277,7 +317,7 @@ class TestRouteCaches:
         for route in self.ROUTES:
             route(0.7, pair, ctx)
         plan = _PairPlan.build(pair, ctx)
-        assert {"closed_prefactors", "lemma_prefactors", "D", "lattice"} <= set(vars(plan))
+        assert {"rho", "D", "lattice"} <= set(vars(plan))
         refs = [weakref.ref(obj) for obj in (plan, plan.lattice)]
         del plan
         for i in range(1, _CACHE_SIZE + 1):
@@ -329,7 +369,8 @@ def test_takes_no_product(monkeypatch, cold_caches):
     """At q = 0.995, where a product takes about 13,800 factors, the theta
     log-derivative, the pair plan and the three Fourier routes run on the
     dual-nome sum alone: every product loop of ``_core`` raises.  The
-    lemma form still agrees with the lattice sum there."""
+    closed and lemma forms agree with the lattice sum there, though single
+    thetas reach e^{+-300}."""
     def refuse(*args):
         raise AssertionError("product loop called")
 
@@ -348,9 +389,10 @@ def test_takes_no_product(monkeypatch, cold_caches):
         _PairPlan.build(pair, ctx)
         for sign in (1, -1):
             assert cmath.isfinite(closed_diag(sign, pair, ctx).value)
-        series = fourier_series(0.7, pair, ctx)
-        assert np.all(np.isfinite(fourier_closed(0.7, pair, ctx)))
-        assert np.max(np.abs(fourier_lemma_form(0.7, pair, ctx) - series)) <= 1e-10
+        for eta in (0.7, 3.0, -2.0, 0.0):
+            series = fourier_series(eta, pair, ctx)
+            assert np.max(np.abs(fourier_closed(eta, pair, ctx) - series)) <= 1e-10
+            assert np.max(np.abs(fourier_lemma_form(eta, pair, ctx) - series)) <= 1e-10
 
 
 class TestProjection:

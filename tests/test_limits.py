@@ -17,6 +17,7 @@ from qtail import (
     trig_kernel,
     trig_limit_scan,
 )
+from qtail import limits
 
 
 class TestTrigKernel:
@@ -77,6 +78,21 @@ class TestTailLimit:
     def test_rejects_negative_depth(self, ctx, quad):
         with pytest.raises(DomainError):
             tail_limit_scan(LatticePoint(1, 0), LatticePoint(1, 1), quad, ctx, -1)
+
+    @pytest.mark.parametrize("M_max", [2.5, "3"])
+    def test_rejects_non_integer_depth(self, ctx, quad, M_max):
+        with pytest.raises(DomainError, match="M_max"):
+            tail_limit_scan(LatticePoint(1, 0), LatticePoint(1, 1), quad, ctx, M_max)
+
+    @pytest.mark.parametrize("x,y", [(1.3, LatticePoint(1, 1)), (LatticePoint(1, 0), -0.55)])
+    def test_rejects_points_off_the_lattice(self, monkeypatch, ctx, quad, x, y):
+        """Checked before the theta-kernel target is evaluated."""
+        def refuse(*args):
+            raise AssertionError("target evaluated")
+
+        monkeypatch.setattr(limits, "elliptic_kernel", refuse)
+        with pytest.raises(DomainError, match="LatticePoint"):
+            tail_limit_scan(x, y, quad, ctx, 3)
 
 
 class TestRegimeII:
