@@ -20,7 +20,6 @@ from .qspecial import (
     theta3,
     theta_deriv,
     theta_logderiv,
-    theta_multi,
 )
 from .qhyper import (
     DegeneracyError,

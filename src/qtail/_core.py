@@ -1,6 +1,6 @@
 """The raw product and series loops under the special functions.
 
-Three product loops: q-Pochhammer, its log, and the divided difference
+Two product loops: the q-Pochhammer symbol and the divided difference
 [theta] that the contour diagonal of the theta kernel runs over its node
 arrays.  Beside them the 2phi1 partial sums, their a2 -> 0 limit, theta3
 and the complex expm1 that the dual theta sum and the kernels' sinh
@@ -16,7 +16,6 @@ cap.  theta, its log-derivative, the divided differences rho and [F] and
 log (q; q)_inf are read from that sum.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -64,25 +63,6 @@ def qpoch_raw(z, q):
         prod *= 1.0 - w
         w *= q
     return prod, abs(prod) * abs(w) / (1.0 - q)
-
-
-def logqpoch_raw(z, q):
-    """Principal-branch log of (z; q)_inf as a sum of factor logs.
-
-    Overflow-safe replacement for qpoch_raw when the product magnitude
-    leaves double range.  Raises on a vanishing factor.
-    """
-    total = complex(0.0)
-    w = complex(z)
-    _check_iterations(abs(w), q)
-    while abs(w) > CUT:
-        f = 1.0 - w
-        if f == 0.0:
-            raise ZeroDivisionError("q-Pochhammer factor vanishes: log undefined")
-        total += cmath.log(f)
-        w *= q
-    # first-order tail of the log: sum of remaining -w q^j
-    return total - w / (1.0 - q), abs(w) / (1.0 - q)
 
 
 def theta_dd_raw(a, b, c, q):

@@ -24,8 +24,8 @@ import numpy as np
 
 from ._core import cexpm1
 from .kernels import AdmissiblePair, QContext, _PairPlan, truncation_order
-from .qspecial import (DomainError, QParam, _log_theta_any, _log_theta_ratio, _q_power,
-                       _theta_ratio_dd, _zlogderiv_dd, log_theta, theta_deriv, theta_logderiv)
+from .qspecial import (DomainError, QParam, _log_theta_any, _log_theta_ratio, _theta_ratio_dd,
+                       _theta_zero, _zlogderiv_dd, log_theta, theta_deriv, theta_logderiv)
 
 __all__ = [
     "truncation_order",
@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+def _check_eta(eta: float) -> None:
+    if not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta!r}")
+
+
 def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarray:
     """Truncated lattice sum, dropping terms below REL_TOL / 10.
 
@@ -44,6 +49,7 @@ def fourier_series(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarra
     T[i, j] of the pair plan's table of gauged values (computed once per
     pair), and the even same-branch rows against 2 cos(eta m).
     """
+    _check_eta(eta)
     T = _PairPlan.build(pair, ctx).lattice
     M = T.shape[2] // 2
     m = np.arange(-M, M + 1)
@@ -64,8 +70,7 @@ def fourier_closed(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.ndarra
     sqrt|zeta_- zeta_+| b).  Each entry's ten log thetas, six of them the
     plan's, are summed and exponentiated once, so nothing under- or
     overflows as q -> 1, where single thetas reach e^{+-300}."""
-    if not math.isfinite(eta):
-        raise DomainError(f"eta must be finite, got {eta!r}")
+    _check_eta(eta)
     q = ctx.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
@@ -102,6 +107,7 @@ def fourier_lemma_form(eta: float, pair: AdmissiblePair, ctx: QContext) -> np.nd
     zeta_+/|zeta_-|, are equal: theta(zeta_+/zeta_-) = r^2 theta(zeta_- /
     zeta_+) and theta'(1) = -(q; q)_inf^2.  Their log lpref meets the eta
     -dependent theta ratio in log space."""
+    _check_eta(eta)
     q = ctx.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
@@ -148,7 +154,7 @@ def _cross_thetas(b_d: complex, b_g: complex, a: complex, q: QParam) -> tuple[co
     log ratio lr = log(theta(b_d)/theta(b_g)) gives rho(o, b) = expm1(+-lr)
     / (o - b) and P."""
     if b_d == b_g:
-        if _q_power(b_g, q.q) is not None:
+        if _theta_zero(b_g, q) is not None:
             return -log_theta(a, q), theta_deriv(b_g, q).value, 0j
         return _log_theta_ratio(b_g, a, q), theta_logderiv(b_g, q), complex(1.0)
     lr = _log_theta_ratio(b_d, b_g, q)

@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import cexpm1, logqpoch_raw, theta_dd_raw
+from ._core import cexpm1, theta_dd_raw
 from .qhyper import DegeneracyError, Phi21Params, phi21
-from .qspecial import (REL_TOL, DomainError, EvalResult, QParam, _log_qpoch_pair, _theta_ratio_dd,
-                       _zlogderiv_dd, log_theta, qpoch_inf, qpoch_multi, theta)
+from .qspecial import (REL_TOL, DomainError, EvalResult, QParam, _log_qpoch, _log_qpoch_pair,
+                       _theta_ratio_dd, _zlogderiv_dd, log_theta, qpoch_inf, qpoch_multi, theta)
 
 __all__ = [
     "QContext",
@@ -407,8 +407,8 @@ def _elliptic_direct(xv: float, yv: float, pair: AdmissiblePair, ctx: QContext) 
     def side(x: float) -> tuple[complex, complex]:
         tg = theta(x * g, q).value
         td = theta(x * d, q).value
-        # the product as theta_multi forms it, signed zeros included: when it
-        # is negative real they choose the branch of the square root
+        # multiplied from complex 1: where the product is negative real, the
+        # sign of its zero imaginary part chooses the branch of the root
         den = cmath.sqrt(complex(1.0) * tg * td)
         return math.sqrt(abs(x)) * tg / den, x * _theta_ratio_dd(x * d, x * g, q)
 
@@ -584,7 +584,7 @@ def _log_weight(z: complex, quad: AdmissibleQuadruple, ctx: QContext) -> complex
     """
     q = ctx.q
     out = cmath.log(z if z.real > 0 else -z)
-    out += logqpoch_raw(z * quad.alpha, q.q)[0] + logqpoch_raw(z * quad.beta, q.q)[0]
+    out += _log_qpoch(z * quad.alpha, q) + _log_qpoch(z * quad.beta, q)
     out -= log_theta(z * quad.gamma, q) + log_theta(z * quad.delta, q)
     return out
 

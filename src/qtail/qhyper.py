@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from ._core import phi21_b_zero_raw, phi21_raw
-from .qspecial import DomainError, EvalResult, QParam, _q_power, _quotient, qpoch_multi
+from .qspecial import DomainError, EvalResult, QParam, _quotient, qpoch_multi
 
 __all__ = [
     "Phi21Params",
@@ -30,6 +30,7 @@ __all__ = [
 
 CONT_RADIUS = 0.75
 POLE_EXCLUSION = 1e-6
+QPOW_EPS = 1e-12  # relative distance within which v counts as a power of q
 
 
 class PoleError(ArithmeticError):
@@ -38,6 +39,17 @@ class PoleError(ArithmeticError):
 
 class DegeneracyError(ArithmeticError):
     """A transformation formula degenerates for these parameters."""
+
+
+def _q_power(v: complex, q: float) -> int | None:
+    """The n with v within relative QPOW_EPS of q^n, or None; v = 0 and
+    every v off the positive axis give None."""
+    v = complex(v)
+    if v.real <= 0.0 or abs(v.imag) > QPOW_EPS * abs(v):
+        return None
+    t = math.log(v.real) / math.log(q)
+    n = round(t)
+    return n if abs(t - n) < QPOW_EPS else None
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ Conventions (fixed throughout the package):
 
 Note theta3 uses nome parameter q^{1/2} relative to the textbook convention.
 theta, log_theta and theta_logderiv first write z = q^n w with w on the
-annulus sqrt(q) <= |w| < 1/sqrt(q); ``_q_power`` is the package's one test
-for v in q^Z.  On the annulus, theta and log_theta read log theta_q(w)
+annulus sqrt(q) <= |w| < 1/sqrt(q); theta is 0 where w is exactly 1, its
+zero test.  On the annulus, theta and log_theta read log theta_q(w)
 from Jacobi's imaginary transformation (``_log_theta``): a Gaussian sum in
 the dual nome exp(-4 pi^2 / r), r = -ln q, of one to four terms for every
 q in [0.02, 0.995], where the product takes about 2 ln(CUT) / ln q
@@ -17,7 +17,8 @@ factors.  theta is exp of that log, evaluated in the upper half-plane and
 conjugated for the lower one, so theta(conj z) is conj theta(z) bit for
 bit.  theta_logderiv, the divided differences rho and [F] of theta
 (``_theta_ratio_dd``, ``_zlogderiv_dd``) and log (q; q)_inf (``_log_qq``,
-kept on QParam) are read from the same sum, so only qpoch_inf remains a product here.
+kept on QParam) are read from the same sum, so only (z; q)_inf remains a
+product here (``qpoch_inf``; ``_log_qpoch`` takes |z| > 1 from theta).
 Functions that return an EvalResult carry a truncation-tail bound in it;
 log_theta and theta_logderiv return a plain complex.  The precision
 target ``REL_TOL`` and the cut-off ``CUT`` are re-exported from
@@ -42,7 +43,6 @@ __all__ = [
     "qpoch_inf",
     "qpoch_multi",
     "theta",
-    "theta_multi",
     "theta_deriv",
     "theta_logderiv",
     "log_theta",
@@ -53,7 +53,6 @@ __all__ = [
 PI2 = math.pi * math.pi
 TWO_PI_I = 2j * math.pi
 ABS_FLOOR = 1e-300  # smallest magnitude a relative error bound divides by
-QPOW_EPS = 1e-12  # relative distance within which v counts as a power of q
 LOG_HUGE = math.log(sys.float_info.max)  # log |theta| beyond which theta overflows
 LOG_TINY = math.log(sys.float_info.min)  # and below which it leaves the normal range
 
@@ -104,7 +103,7 @@ class EvalResult:
 
 
 def _finite(z) -> complex:
-    """complex(z); a nan or infinite part raises (``_q_power`` reads 1+nan*i as 1)."""
+    """complex(z); a nan or infinite part raises here, not in the reduction."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"argument must be finite, got {z!r}")
@@ -151,15 +150,11 @@ def _reduce_to_annulus(z: complex, q: float) -> tuple[complex, int]:
     return z * q ** (-n), n
 
 
-def _q_power(v: complex, q: float) -> int | None:
-    """The n with v within relative QPOW_EPS of q^n, or None; v = 0 and
-    every v off the positive axis give None."""
-    v = complex(v)
-    if v.real <= 0.0 or abs(v.imag) > QPOW_EPS * abs(v):
-        return None
-    t = math.log(v.real) / math.log(q)
-    n = round(t)
-    return n if abs(t - n) < QPOW_EPS else None
+def _theta_zero(z: complex, q: QParam) -> int | None:
+    """The n with z the zero q^n of theta, read exactly: z reduces to w = 1,
+    where ``_log_theta`` gives -inf; None for every other z off 0."""
+    w, n = _reduce_to_annulus(z, q.q)
+    return n if w == 1 else None
 
 
 def _log_qq(r: float) -> tuple[float, float]:
@@ -281,13 +276,24 @@ def _log_theta(z: complex, q: QParam) -> tuple[complex, int, float]:
 
 
 def _log_theta_any(z: complex, q: QParam) -> complex:
-    """log theta_q(z) modulo 2 pi i for z off 0, with real part -inf only at
-    an exact zero: no relative QPOW_EPS test, unlike ``log_theta``."""
+    """log theta_q(z) modulo 2 pi i for z off 0, with real part -inf at an
+    exact zero (``_theta_zero``), where ``log_theta`` raises instead."""
     zu, lower = _upper(z)
     out, n, _ = _log_theta(zu, q)
     if n % 2:
         out += 1j * math.pi
     return out.conjugate() if lower else out
+
+
+def _log_qpoch(z: complex, q: QParam) -> complex:
+    """log (z; q)_inf modulo 2 pi i, with real part -inf at an exact zero.
+    For |z| <= 1 it is the log of the product; beyond, (z; q)_inf =
+    theta_q(z)/(q/z; q)_inf, so what leaves double range is read from the
+    dual sum and the product runs over |q/z| < q."""
+    if abs(z) <= 1.0:
+        p = qpoch_raw(z, q.q)[0]
+        return cmath.log(p) if p else complex(-math.inf, 0.0)
+    return _log_theta_any(z, q) - cmath.log(qpoch_raw(q.q / z, q.q)[0])
 
 
 def _log_qpoch_pair(z: complex, q: QParam) -> complex:
@@ -444,8 +450,8 @@ def _upper(z: complex) -> tuple[complex, bool]:
 def theta(z: complex, q: QParam) -> EvalResult:
     """theta_q(z) = (z, q/z; q)_inf, as exp of ``_log_theta``.
 
-    Points of q^Z return exactly 0 (the zeros are simple and known).  A
-    real z gives a value with an imaginary part of exactly 0, and
+    A z that reduces to w = 1 exactly returns 0, a z near q^n its small
+    value.  A real z gives a value with an imaginary part of exactly 0, and
     theta(conj z) is conj theta(z) bit for bit, signed zeros included.
     Raises OverflowError where |theta| leaves the normal double range;
     log_theta holds the value there.
@@ -453,10 +459,10 @@ def theta(z: complex, q: QParam) -> EvalResult:
     z = _finite(z)
     if z == 0:
         raise DomainError("theta_q is undefined at z = 0")
-    if _q_power(z, q.q) is not None:
-        return EvalResult(0.0, 0.0)
     zu, lower = _upper(z)
     lt, n, rel = _log_theta(zu, q)
+    if lt.real == -math.inf:
+        return EvalResult(0.0, 0.0)
     if not LOG_TINY <= lt.real <= LOG_HUGE:
         raise OverflowError(f"|theta| = e^{lt.real:.1f} leaves the normal double range; "
                             "use log_theta")
@@ -470,18 +476,6 @@ def theta(z: complex, q: QParam) -> EvalResult:
     return EvalResult(val, abs(val) * rel)
 
 
-def theta_multi(zs, q: QParam) -> EvalResult:
-    prod = complex(1.0)
-    rel = 0.0
-    for z in zs:
-        r = theta(z, q)
-        if r.value == 0.0:
-            return EvalResult(0.0, 0.0)
-        prod *= r.value
-        rel += _rel(r.value, r.abs_error_bound)
-    return EvalResult(prod, abs(prod) * rel)
-
-
 def log_theta(z: complex, q: QParam) -> complex:
     """Complex logarithm of theta_q(z), defined modulo 2 pi i.
 
@@ -490,9 +484,10 @@ def log_theta(z: complex, q: QParam) -> complex:
     log_theta(z).
     """
     z = _finite(z)
-    if z == 0 or _q_power(z, q.q) is not None:
-        raise DomainError("log theta undefined at a zero of theta")
-    return _log_theta_any(z, q)
+    out = _log_theta_any(z, q) if z != 0 else complex(-math.inf)
+    if out.real == -math.inf:
+        raise DomainError("log theta undefined at 0 and at a zero of theta")
+    return out
 
 
 def theta_logderiv(z: complex, q: QParam) -> complex:
@@ -500,7 +495,7 @@ def theta_logderiv(z: complex, q: QParam) -> complex:
     theta(a)/theta(b): F(z)/z from the derivative of the dual sum
     (``_zlogderiv``), a fixed handful of terms at any q."""
     z = _finite(z)
-    if z == 0 or _q_power(z, q.q) is not None:
+    if z == 0 or _theta_zero(z, q) is not None:
         raise DomainError("theta log-derivative undefined on q^Z and at 0")
     return _theta_ratio_dd(z, z, q)
 
@@ -514,7 +509,7 @@ def theta_deriv(z: complex, q: QParam) -> EvalResult:
     z = _finite(z)
     if z == 0:
         raise DomainError("theta_q' undefined at z = 0")
-    n = _q_power(z, q.q)
+    n = _theta_zero(z, q)
     if n is not None:
         # simple zero at q^n: theta'(q^n) = (-1)^n q^{-n(n+1)/2} theta'(1)
         lqq, tail = q.lqq

@@ -36,12 +36,12 @@ from .qspecial import (
     DomainError,
     QParam,
     jacobi_imaginary_rhs,
+    log_theta,
     qpoch_inf,
     theta,
     theta3,
     theta_deriv,
     theta_logderiv,
-    theta_multi,
 )
 
 __all__ = [
@@ -93,9 +93,13 @@ def weierstrass_residual(X: complex, Y: complex, Z: complex, W: complex,
     rather than on their possibly tiny difference.
     """
     qq = q.q
-    t1 = theta_multi([qq * Y * Z, Z / Y, qq * X * W, W / X], q).value
-    t2 = theta_multi([qq * Y * W, W / Y, qq * X * Z, Z / X], q).value
-    t3 = -(Z / Y) * theta_multi([qq * X * Y, Y / X, qq * Z * W, W / Z], q).value
+
+    def th(*zs):
+        return math.prod(theta(z, q).value for z in zs)
+
+    t1 = th(qq * Y * Z, Z / Y, qq * X * W, W / X)
+    t2 = th(qq * Y * W, W / Y, qq * X * Z, Z / X)
+    t3 = -(Z / Y) * th(qq * X * Y, Y / X, qq * Z * W, W / Z)
     return _report("weierstrass_three_term", t1, t2 + t3,
                    {"X": X, "Y": Y, "Z": Z, "W": W, "q": qq},
                    scale=max(abs(t1), abs(t2), abs(t3)))
@@ -179,7 +183,8 @@ def diagonal_identity_residual(c: float, d: float, ctx: QContext) -> IdentityRep
                  * th(d/c, -d/c, -sq d/c) th(zp c d / sq)^2
                  / th(c^2 zp, d^2 zp, sq d/c)
 
-    with sq = sqrt(q), zp = zeta_plus.
+    with sq = sqrt(q), zp = zeta_plus.  The ratio is one sum of logs,
+    exponentiated once: its theta products leave double range as q -> 1.
     """
     q = ctx.q
     zp = ctx.zeta_plus
@@ -189,13 +194,14 @@ def diagonal_identity_residual(c: float, d: float, ctx: QContext) -> IdentityRep
         return z * theta_logderiv(z, q)
 
     lhs = LD(d * d * zp) - LD(c * c * zp) + LD(sq * c / d) - LD(sq * d / c)
-    pq = qpoch_inf(q.q, q).value
-    rhs = (
-        q.q * pq * pq / (zp * d * d)
-        * theta_multi([d / c, -d / c, -sq * d / c], q).value
-        * theta(zp * c * d / sq, q).value ** 2
-        / theta_multi([c * c * zp, d * d * zp, sq * d / c], q).value
-    )
+
+    def lt(*zs):
+        return sum(log_theta(z, q) for z in zs)
+
+    pq = qpoch_inf(q.q, q).value.real
+    lr = (lt(d / c, -d / c, -sq * d / c) + 2.0 * lt(zp * c * d / sq)
+          - lt(c * c * zp, d * d * zp, sq * d / c))
+    rhs = cmath.exp(math.log(q.q / (zp * d * d)) + 2.0 * math.log(pq) + lr)
     return _report("diagonal_logderiv_product", lhs, rhs, {"c": c, "d": d, "q": q.q})
 
 

@@ -10,20 +10,20 @@ import pytest
 
 from qtail import LatticePoint, QContext, QParam, elliptic_diag_contour, validate_pair
 from qtail._core import (
-    logqpoch_raw,
     phi21_b_zero_raw,
     phi21_raw,
     qpoch_raw,
     theta3_raw,
     theta_dd_raw,
 )
+from qtail.qspecial import _log_qpoch
 
 # about 3.45e6 factors down to CUT, past the 2e6 cap
 Q_NEAR_ONE = 1.0 - 1e-5
 
 PRODUCT_LOOPS = {
     "qpoch": lambda: qpoch_raw(0.5 + 0.1j, Q_NEAR_ONE),
-    "logqpoch": lambda: logqpoch_raw(0.5 + 0.1j, Q_NEAR_ONE),
+    "logqpoch": lambda: _log_qpoch(0.5 + 0.1j, QParam(Q_NEAR_ONE)),
     "theta_dd": lambda: theta_dd_raw(0.5 + 0.1j, 0.7, 0.6, Q_NEAR_ONE),
     "theta_dd_array": lambda: theta_dd_raw(np.array([0.5 + 0.1j, 0.9]), np.array([0.7, 0.8j]),
                                            0.6, Q_NEAR_ONE),

@@ -25,7 +25,7 @@ from qtail import (
 from qtail import _core, fourier, kernels, qspecial
 from qtail.fourier import truncation_order
 from qtail.kernels import _CACHE_SIZE, C_elliptic, _PairPlan
-from qtail.qspecial import qpoch_inf, theta, theta_logderiv, theta_multi
+from qtail.qspecial import qpoch_inf, theta, theta_logderiv
 from qtail.verify import draw_context, draw_pair
 
 from conftest import GAMMA_REF, DELTA_REF
@@ -63,6 +63,12 @@ class TestThreeRoutes:
     def test_closed_rejects_non_finite_eta(self, ctx, pair, eta):
         with pytest.raises(qspecial.DomainError, match="eta"):
             fourier_closed(eta, pair, ctx)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", [fourier_series, fourier_closed, fourier_lemma_form])
+    def test_every_route_rejects_non_finite_eta(self, ctx, pair, route, eta):
+        with pytest.raises(qspecial.DomainError, match="eta"):
+            route(eta, pair, ctx)
 
     def test_random_pairs(self, rng):
         for _ in range(8):
@@ -123,25 +129,29 @@ def _closed_ten_thetas(eta, pair, ctx):
                      [-entry(l_x, zm, zp), entry(l_mm, zm, zm)]])
 
 
+def theta_prod(zs, q):
+    return math.prod(theta(z, q).value for z in zs)
+
+
 def _closed_product(eta, pair, ctx):
-    """fourier_closed as the plain-float product of thetas, prefactors
-    from theta_multi (moderate q only: the thetas must stay in range)."""
+    """fourier_closed as the plain-float product of thetas (moderate q
+    only: the thetas must stay in range)."""
     q, qv = ctx.q, ctx.q.q
     g, d = pair.gamma, pair.delta
     zp, zm = ctx.zeta_plus, ctx.zeta_minus
-    base = theta_multi([zm / zp, g * d * zm * zp], q).value
-    sq_theta = math.sqrt(theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
-    pp_pref = qv * theta_multi([g * zm, d * zm], q).value / (g * d * zp * zp * base)
-    mm_pref = qv * theta_multi([g * zp, d * zp], q).value / (g * d * abs(zm * zp) * base)
+    base = theta_prod([zm / zp, g * d * zm * zp], q)
+    sq_theta = math.sqrt(theta_prod([g * zm, d * zm, g * zp, d * zp], q).real)
+    pp_pref = qv * theta_prod([g * zm, d * zm], q) / (g * d * zp * zp * base)
+    mm_pref = qv * theta_prod([g * zp, d * zp], q) / (g * d * abs(zm * zp) * base)
     cross_pref = -qv * sq_theta / (g * d * zp * math.sqrt(abs(zm * zp)) * base)
     s = math.sqrt((g * d).real / qv)
     e, ec = cmath.exp(1j * eta), cmath.exp(-1j * eta)
-    den = theta_multi([-e * qv * s / g, -e * qv * s / d], q).value
+    den = theta_prod([-e * qv * s / g, -e * qv * s / d], q)
     return np.array([
-        [pp_pref * theta_multi([-e * zp * s, -ec * zp * s], q).value / den,
-         cross_pref * theta_multi([-e * zp * s, -ec * zm * s], q).value / den],
-        [cross_pref * theta_multi([-e * zm * s, -ec * zp * s], q).value / den,
-         mm_pref * theta_multi([-e * zm * s, -ec * zm * s], q).value / den]])
+        [pp_pref * theta_prod([-e * zp * s, -ec * zp * s], q) / den,
+         cross_pref * theta_prod([-e * zp * s, -ec * zm * s], q) / den],
+        [cross_pref * theta_prod([-e * zm * s, -ec * zp * s], q) / den,
+         mm_pref * theta_prod([-e * zm * s, -ec * zm * s], q) / den]])
 
 
 def _lemma_six_thetas(eta, pair, ctx):
@@ -161,7 +171,7 @@ def _lemma_six_thetas(eta, pair, ctx):
         return theta(z, q).value
 
     pref = C * math.sqrt(r2) * -(qpoch_inf(qv, q).value ** 2) / math.sqrt(
-        theta_multi([g * zm, d * zm, g * zp, d * zp], q).value.real)
+        theta_prod([g * zm, d * zm, g * zp, d * zp], q).real)
     pm_pref = pref / th(zp / zm)
     mp_pref = pref / (r2 * th(zm / zp))
     gpdm, dpgm = th(g * zp) * th(d * zm), th(d * zp) * th(g * zm)
@@ -375,7 +385,7 @@ def test_takes_no_product(monkeypatch, cold_caches):
         raise AssertionError("product loop called")
 
     for mod in (_core, qspecial, kernels, fourier):
-        for name in ("qpoch_raw", "logqpoch_raw", "theta_dd_raw"):
+        for name in ("qpoch_raw", "theta_dd_raw"):
             monkeypatch.setattr(mod, name, refuse, raising=False)
     q = QParam(0.995)
     ctx = QContext(q, 1.1, -0.9)

@@ -57,6 +57,13 @@ class TestSeries:
         with pytest.raises(DomainError):
             Phi21Params(0.3, 0.4, q.q ** -2, q)
 
+    @pytest.mark.parametrize("q", [0.3, 0.37, 0.995])
+    def test_pole_check_keeps_its_band(self, q):
+        """At q = 0.3 and 0.995 the float q**-3 does not reduce to 1 exactly,
+        as theta's zero test would need; the 2phi1 pole check still sees it."""
+        with pytest.raises(DomainError):
+            Phi21Params(0.3, 0.4, q ** -3, QParam(q))
+
 
 class TestContinuation:
     def test_agrees_with_series_inside_disk(self):

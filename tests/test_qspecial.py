@@ -22,7 +22,6 @@ from qtail import (
     theta3,
     theta_deriv,
     theta_logderiv,
-    theta_multi,
 )
 from qtail import _core, qspecial
 
@@ -44,7 +43,6 @@ def brute_qpoch(z, q, n=300):
 @pytest.mark.parametrize("f", [
     qpoch_inf, theta, theta_deriv, theta_logderiv, log_theta, theta3, jacobi_imaginary_rhs,
     pytest.param(lambda z, q: qpoch_multi([0.3, z], q), id="qpoch_multi"),
-    pytest.param(lambda z, q: theta_multi([0.3, z], q), id="theta_multi"),
 ])
 def test_non_finite_argument_is_a_domain_error(f, z):
     # a nan imaginary part must not pass as a point of q^Z, where theta is 0
@@ -191,8 +189,7 @@ class TestTheta:
             raise AssertionError("product loop called")
 
         for mod in (qspecial, _core):
-            for name in ("qpoch_raw", "logqpoch_raw"):
-                monkeypatch.setattr(mod, name, refuse, raising=False)
+            monkeypatch.setattr(mod, "qpoch_raw", refuse)
         q = QParam(0.995)
         for z in (0.9 + 0.3j, -1.02, 0.2, 7.0 - 1.0j):
             v, L = theta(z, q).value, log_theta(z, q)
@@ -205,9 +202,76 @@ class TestTheta:
             v = theta(mid, q).value.real
             assert (v > 0) == (n % 2 == 0)
 
-    def test_multi_short_circuits_at_zero(self):
-        q = QParam(0.5)
-        assert theta_multi([0.3, q.q ** 2], q).value == 0.0
+
+NEAR_ZERO_Q = (0.02, 0.3, 0.5, 0.9, 0.995)
+
+
+@pytest.mark.parametrize("q", NEAR_ZERO_Q)
+def test_theta_near_its_zeros(q):
+    """At z = q^n (1 +- t), t = 1e-14 to 1e-10, none of which reduces to
+    w = 1 exactly, theta and theta_logderiv are their own small and large
+    values: within max(1e-13, 8u cond) of the product reference, with u =
+    2^-53 and cond = |z theta'/theta| what the rounding of the reduction
+    z q^-n costs.  log_theta is finite there and exp of it is theta."""
+    qp = QParam(q)
+    for n in range(-3, 4):
+        for z in (q ** n * (1.0 + s * t) for s in (1, -1) for t in (1e-14, 1e-12, 1e-10)):
+            assert qspecial._theta_zero(z, qp) is None
+            L = theta_reference.divided_differences(z, z, q)[0]
+            gate = max(1e-13, 4 * EPS * abs(z * L))
+            want = complex(theta_reference.theta_product(z, q))
+            got = theta(z, qp).value
+            assert got != 0.0 and abs(got - want) <= gate * abs(want), z
+            assert abs(theta_logderiv(z, qp) - L) <= gate * abs(L), z
+            lt = log_theta(z, qp)
+            assert cmath.isfinite(lt) and abs(cmath.exp(lt) - got) <= 1e-14 * abs(got)
+
+
+@pytest.mark.parametrize("q", NEAR_ZERO_Q)
+def test_theta_is_zero_only_where_the_exact_test_says(q):
+    qp = QParam(q)
+    for n in range(-3, 4):
+        z = q ** n
+        assert (theta(z, qp).value == 0.0) == (qspecial._theta_zero(z, qp) is not None)
+
+
+@pytest.mark.parametrize("z, want", [
+    pytest.param(1 + 5e-13, -4.1702989022321206e-14, id="1+5e-13"),
+    pytest.param(0.125 * (1 + 3e-13), 2.0014471818509857e-13, id="q^3(1+3e-13)"),
+    pytest.param(1 + 1.3e-162j, -1.0841813302287308e-163j, id="1+1.3e-162i"),
+])
+def test_theta_within_a_rounding_of_a_zero(z, want):
+    """At q = 0.5 these z lie within 5e-13 of q^0 and q^3 but are not
+    them; the 40-digit product gives the values.  log_theta and
+    theta_logderiv are finite there."""
+    q = QParam(0.5)
+    assert abs(theta(z, q).value - want) <= 1e-13 * abs(want)
+    assert cmath.isfinite(log_theta(z, q)) and cmath.isfinite(theta_logderiv(z, q))
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.995])
+def test_log_qpoch_matches_the_product(q):
+    """log (z; q)_inf inside and outside the unit circle against the log of
+    the 40-digit product: the real part within 1e-13 of max(1, |log|), the
+    phase within 1e-12 modulo 2 pi, or 8 ulps of the imaginary part where
+    that is larger (it reaches 8658 at z = -1e6, q = 0.995, where one ulp
+    is 1.8e-12).  The points keep off the positive axis, where (z; q)_inf
+    has its zeros q^-k (1e6 = 0.1^-6)."""
+    qp = QParam(q)
+    for radius in (0.3, 0.99, 1.01, 30.0, 1e6):
+        for z in (radius * cmath.exp(0.5j), radius * cmath.exp(-2.9j), complex(-radius)):
+            with mp.workdps(theta_reference.DPS):
+                want = complex(mp.log(theta_reference._qpoch(theta_reference._mp(z), mp.mpf(q))))
+            got = qspecial._log_qpoch(z, qp)
+            assert abs(got.real - want.real) <= 1e-13 * max(1.0, abs(want)), z
+            dphase = cmath.phase(cmath.exp(1j * (got.imag - want.imag)))
+            assert abs(dphase) <= max(1e-12, 8 * EPS * abs(got.imag)), z
+
+
+def test_log_qpoch_at_an_exact_zero():
+    q = QParam(0.5)
+    assert qspecial._log_qpoch(1.0, q).real == -math.inf
+    assert qspecial._log_qpoch(4.0, q).real == -math.inf
 
 
 # relative error gates of theta and log_theta against the product reference

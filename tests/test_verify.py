@@ -10,6 +10,7 @@ import pytest
 
 from qtail import (
     DomainError,
+    QContext,
     QParam,
     diagonal_identity_residual,
     fourier_equality_residual,
@@ -82,6 +83,13 @@ class TestKernelIdentities:
                 continue
             rep = diagonal_identity_residual(float(c), float(d), ctx)
             assert rep.rel_residual < 1e-8, rep.params
+
+    def test_diagonal_identity_near_q_one(self):
+        """At q = 0.9945 a product of three thetas underflows; the theta
+        ratio is taken as one sum of logs."""
+        ctx = QContext(QParam(0.9944860155831251), 1.5251321749475126, -1.2515571195855866)
+        rep = diagonal_identity_residual(0.6351998626669211, 0.9870841673888442, ctx)
+        assert rep.rel_residual < 1e-8
 
 
 class TestDraws:
