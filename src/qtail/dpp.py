@@ -3,11 +3,14 @@
 A kernel restricted to a finite window of lattice points gives a Hermitian
 matrix with eigenvalues in [0, 1]; ``correlation`` evaluates determinantal
 correlation functions, ``sample_window`` draws exact samples by the
-eigendecomposition method (select eigenvectors by independent Bernoulli
+eigendecomposition method of Hough, Krishnapur, Peres and Virag (Probab.
+Surveys 3, 2006) (select eigenvectors by independent Bernoulli
 trials, then sample the resulting projection process point by point,
 conditioning its kernel on each drawn point by a rank-one Schur update), and
 ``exact_outcome_probabilities`` gives the probability of every outcome of
 a small window, one determinant per outcome, as an independent oracle.
+The sampler runs that chain over blocks of draws at once, and each draw is
+bitwise the one the method gives when run for that draw alone.
 
 Randomness: each sample uses ``np.random.default_rng([seed, index])`` so
 any single sample can be reproduced in isolation.
@@ -16,6 +19,7 @@ any single sample can be reproduced in isolation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
@@ -38,6 +42,9 @@ MAX_WINDOW = 64
 MAX_EXACT_WINDOW = 12
 IMAG_RESIDUE = 1e-9
 EIG_HARD_BAND = 1e-8
+# draws per block of the batched chain: its (draws, n, n) arrays stay a few
+# MiB at MAX_WINDOW points, whatever the number of samples
+BLOCK_DRAWS = 64
 
 Kernel = Callable[[LatticePoint, LatticePoint], complex]
 
@@ -49,6 +56,8 @@ class Window:
     def __post_init__(self):
         if not self.points:
             raise DomainError("window must be nonempty")
+        if not all(isinstance(x, LatticePoint) for x in self.points):
+            raise DomainError("window points must be LatticePoints")
         if len(self.points) > MAX_WINDOW:
             raise DomainError(f"window limited to {MAX_WINDOW} points")
         if len(set(self.points)) != len(self.points):
@@ -58,12 +67,24 @@ class Window:
         return len(self.points)
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a NumPy integer; False for a bool or a non-integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     n_samples: int
     seed: int
 
     def __post_init__(self):
+        for name in ("n_samples", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_samples <= 0:
             raise DomainError("n_samples must be positive")
         if self.seed < 0:
@@ -108,27 +129,44 @@ def sample_window(window: Window, kernel: Kernel, cfg: SampleConfig) -> list[tup
     P[i, :] / P_ii, the kernel of the projection process conditioned on a
     point at i.  A pivot P_ii near 0 is drawn with probability near 0.
 
+    The chain runs for ``BLOCK_DRAWS`` draws at once, with the same
+    arithmetic on each draw as one run by itself, so every draw is that of
+    the per-draw method.  A draw takes no step after its rank is reached.
+
     Returns, per sample, the sorted tuple of selected point indices.
     """
     K = kernel_matrix(window.points, kernel)
     lam, V = _validated_eigh(K)
-    out = []
-    for s in range(cfg.n_samples):
-        rng = np.random.default_rng([cfg.seed, s])
-        keep = rng.random(lam.shape[0]) < lam
-        P = V[:, keep] @ V[:, keep].conj().T  # projection onto the selected eigenvectors
-        chosen: list[int] = []
-        for _ in range(int(keep.sum())):
-            probs = np.clip(P.diagonal().real, 0.0, None)
-            # the draw rng.choice(len(probs), p=probs / probs.sum()) makes,
-            # without its checks of p: one uniform against the cumulative sum
-            cdf = np.cumsum(probs / probs.sum())
-            cdf /= cdf[-1]
-            i = int(cdf.searchsorted(rng.random(), side="right"))
-            chosen.append(i)
+    n = lam.shape[0]
+    out: list[tuple[int, ...]] = []
+    for start in range(0, cfg.n_samples, BLOCK_DRAWS):
+        draws = range(start, min(start + BLOCK_DRAWS, cfg.n_samples))
+        # per draw, n uniforms choose the eigenvectors, then one per point
+        U = np.array([np.random.default_rng([cfg.seed, s]).random(2 * n) for s in draws])
+        keep = U[:, :n] < lam
+        rank = keep.sum(1)
+        # by rank, descending: the draws still running are a prefix
+        order = np.argsort(-rank, kind="stable")
+        masks, which = np.unique(keep[order], axis=0, return_inverse=True)
+        # reshape: NumPy 2.0.0 returns the inverse as a column
+        P = np.array([V[:, m] @ V[:, m].conj().T for m in masks])[which.reshape(-1)]
+        drawn = np.zeros_like(keep)
+        for t in range(int(rank.max())):
+            a = int(np.count_nonzero(rank > t))
+            Pa, r = P[:a], np.arange(a)
+            probs = np.clip(np.diagonal(Pa, axis1=1, axis2=2).real, 0.0, None)
+            # the draw rng.choice(n, p=probs / probs.sum()) makes, without
+            # its checks of p: one uniform against the cumulative sum
+            cdf = np.cumsum(probs / probs.sum(1, keepdims=True), axis=1)
+            cdf /= cdf[:, -1:]
+            i = (cdf <= U[order[:a], n + t, None]).sum(1)  # searchsorted(side="right")
+            drawn[order[:a], i] = True
             # condition on a point at i: Schur complement of the pivot P_ii
-            P = P - np.outer(P[:, i], P[i, :] / P[i, i])
-        out.append(tuple(sorted(chosen)))
+            Pa -= Pa[r, :, i][:, :, None] * (Pa[r, i, :] / Pa[r, i, i][:, None])[:, None, :]
+        # row by row, each row's drawn points in increasing order
+        points = np.nonzero(drawn)[1].tolist()
+        ends = np.cumsum(rank).tolist()
+        out.extend(tuple(points[e - k:e]) for e, k in zip(ends, rank.tolist()))
     return out
 
 

@@ -1,8 +1,10 @@
 """Determinantal sampling: window validation, correlation functions, the
-exact outcome oracle, statistical agreement of the sampler, and draw-for-draw
-agreement of its Schur-update projection step with an orthonormal-basis one."""
+exact outcome oracle, statistical agreement of the sampler, draw-for-draw
+agreement of its Schur-update projection step with an orthonormal-basis one,
+and bitwise agreement of the batched chain with the per-draw loop."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -52,11 +54,25 @@ class TestWindow:
         with pytest.raises(DomainError):
             Window(pts)
 
+    def test_rejects_points_that_are_not_lattice_points(self):
+        with pytest.raises(DomainError, match="LatticePoint"):
+            Window((0.5, 1.0))
+
 
 class TestSampleConfig:
     def test_rejects_nonpositive_draws(self):
         with pytest.raises(DomainError):
             SampleConfig(n_samples=0, seed=1)
+
+    @pytest.mark.parametrize("n_samples, seed", [(2.5, 1), (True, 1), (1, 2.5), (1, False), (1, "1")],
+                             ids=["float_draws", "bool_draws", "float_seed", "bool_seed", "str_seed"])
+    def test_rejects_non_integers(self, n_samples, seed):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SampleConfig(n_samples, seed)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SampleConfig(np.int64(3), np.uint32(7))
+        assert (cfg.n_samples, cfg.seed) == (3, 7)
 
 
 class TestCorrelations:
@@ -133,10 +149,11 @@ class TestSampler:
 
     def test_sample_prefix_stable_in_count(self, window4, kern):
         # sample s depends only on (seed, s), so growing the count keeps
-        # the earlier samples
-        a = sample_window(window4, kern, SampleConfig(20, seed=3))
-        b = sample_window(window4, kern, SampleConfig(40, seed=3))
-        assert b[:20] == a
+        # the earlier samples, also where they run in other blocks of draws
+        for short, long in ((20, 40), (70, 200)):
+            a = sample_window(window4, kern, SampleConfig(short, seed=3))
+            b = sample_window(window4, kern, SampleConfig(long, seed=3))
+            assert b[:short] == a
 
     def test_outcome_frequencies_match_oracle(self, window4, kern):
         n = 20000
@@ -259,3 +276,85 @@ class TestSamplerMatchesBasisReference:
     def test_degenerate_kernel(self, window4, kernel, draw):
         got = self._assert_same(window4, kernel, SampleConfig(50, seed=1))
         assert got == [draw] * 50
+
+
+def _loop_reference(window, kernel, cfg):
+    """The sampler as one loop per draw: the method ``sample_window`` runs
+    over blocks of draws, with the same arithmetic on each draw."""
+    K = kernel_matrix(window.points, kernel)
+    lam, V = _validated_eigh(K)
+    out = []
+    for s in range(cfg.n_samples):
+        rng = np.random.default_rng([cfg.seed, s])
+        keep = rng.random(lam.shape[0]) < lam
+        P = V[:, keep] @ V[:, keep].conj().T  # projection onto the selected eigenvectors
+        chosen: list[int] = []
+        for _ in range(int(keep.sum())):
+            probs = np.clip(P.diagonal().real, 0.0, None)
+            # the draw rng.choice(len(probs), p=probs / probs.sum()) makes,
+            # without its checks of p: one uniform against the cumulative sum
+            cdf = np.cumsum(probs / probs.sum())
+            cdf /= cdf[-1]
+            i = int(cdf.searchsorted(rng.random(), side="right"))
+            chosen.append(i)
+            # condition on a point at i: Schur complement of the pivot P_ii
+            P = P - np.outer(P[:, i], P[i, :] / P[i, i])
+        out.append(tuple(sorted(chosen)))
+    return out
+
+
+def _full_window():
+    ks = range(-MAX_WINDOW // 4, MAX_WINDOW // 4)
+    return Window(tuple(LatticePoint(s, k) for s in (1, -1) for k in ks))
+
+
+class TestBatchedSamplerMatchesLoop:
+    """Every draw of the batched chain is bitwise that of the per-draw loop."""
+
+    def _assert_same(self, window, kernel, cfg):
+        assert sample_window(window, kernel, cfg) == _loop_reference(window, kernel, cfg)
+
+    def test_conftest_window(self, window4, kern):
+        self._assert_same(window4, kern, SampleConfig(20000, seed=2026))
+
+    def test_principal_window_across_blocks(self):
+        ctx, kern = _principal_kernel(0.85)
+        window = Window(tuple(LatticePoint(s, k) for s in (1, -1) for k in range(6)))
+        self._assert_same(window, kern, SampleConfig(300, seed=85))
+
+    def test_full_window(self):
+        ctx, kern = _principal_kernel(0.9)
+        self._assert_same(_full_window(), kern, SampleConfig(40, seed=90))
+
+    @pytest.mark.parametrize("kernel", [lambda x, y: 0.0, lambda x, y: float(x == y)],
+                             ids=["zero", "identity"])
+    def test_degenerate_kernel(self, window4, kernel):
+        self._assert_same(window4, kernel, SampleConfig(100, seed=1))
+
+
+@pytest.mark.parametrize("diagonal, outcomes", [
+    ((1.0, 0.0, 1.0, 0.0), {(0, 2)}),
+    ((1.0, 0.5, 1.0, 0.0), {(0, 2), (0, 1, 2)}),
+], ids=["rank_2_projection", "ranks_2_and_3"])
+def test_finished_draw_takes_no_further_update(window4, diagonal, outcomes):
+    # a diagonal kernel leaves P exactly 0 once a draw has its rank of
+    # points, so one more step on that draw would divide 0 by 0; the second
+    # kernel mixes draws of rank 2 and 3 in one block
+    kernel = lambda x, y: diagonal[window4.points.index(x)] if x == y else 0.0  # noqa: E731
+    with np.errstate(divide="raise", invalid="raise"):
+        got = sample_window(window4, kernel, SampleConfig(200, seed=4))
+    assert set(got) == outcomes
+
+
+def test_memory_does_not_grow_with_draws():
+    ctx, kern = _principal_kernel(0.9)
+    window = _full_window()
+    K = kernel_matrix(window.points, kern)
+    index = {x: j for j, x in enumerate(window.points)}
+    tracemalloc.start()
+    try:
+        sample_window(window, lambda x, y: K[index[x], index[y]], SampleConfig(300, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
